@@ -124,6 +124,42 @@ fn structured_errors_carry_kind_message_path_with_exit_parity() {
     }
 }
 
+/// A document nested 200 000 levels deep used to overflow the parser's
+/// stack and abort the process; it is now an ordinary structured error
+/// (kind `invalid_parameter`, exit 1) like any other malformed JSON.
+#[test]
+fn deeply_nested_input_is_a_structured_error_not_an_abort() {
+    use reliab_spec::json::{self, JsonValue};
+
+    let dir = std::env::temp_dir().join("reliab-cli-test-deep-nesting");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("deep.json");
+    let depth = 200_000;
+    std::fs::write(
+        &path,
+        format!(r#"{{"ctmc": {}{}}}"#, "[".repeat(depth), "]".repeat(depth)),
+    )
+    .unwrap();
+    let out = run(cli().arg("--json").arg(&path));
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let doc = json::parse(String::from_utf8_lossy(&out.stdout).trim()).expect("output parses");
+    let error = doc
+        .as_array()
+        .and_then(|entries| entries[0].get("error"))
+        .expect("entry carries an error");
+    assert_eq!(
+        error.get("kind").and_then(JsonValue::as_str),
+        Some("invalid_parameter")
+    );
+    let message = error.get("message").and_then(JsonValue::as_str).unwrap();
+    assert!(message.contains("deeper than"), "{message}");
+}
+
 /// `--record`/`--profile` templates containing `{trace}` expand to the
 /// run's trace id, so two runs pointed at the same template never
 /// clobber each other's artifacts.

@@ -30,9 +30,9 @@ fn repo_root() -> PathBuf {
 }
 
 /// Size cap for the per-test spec sweeps: specs whose declared marking
-/// cap exceeds this (the ≥10⁶-marking streaming exemplar) take minutes
-/// in a debug build, so they are covered by `bench-stream` and the
-/// env-gated [`large_spec_headline_golden`] instead.
+/// cap exceeds this (the ≥10⁶-marking streaming exemplar) are slow in a
+/// debug build, so they are covered by `bench-stream` and the env-gated
+/// [`large_spec_headline_golden`] instead.
 const SWEEP_MAX_MARKINGS: usize = 200_000;
 
 fn is_large_spec(text: &str) -> bool {
@@ -201,9 +201,10 @@ fn stream_tier_matches_golden_spn_measures() {
 }
 
 /// Headline golden for the ≥10⁶-marking streaming exemplar
-/// (`specs/tandem_large.json`). The full solve takes minutes, so this
-/// only runs when `RUN_LARGE_GOLDEN=1` (release builds recommended);
-/// regenerate with `UPDATE_GOLDEN=1 RUN_LARGE_GOLDEN=1`. The committed
+/// (`specs/tandem_large.json`). The solve takes seconds in a release
+/// build but far longer in a debug one, so this only runs when
+/// `RUN_LARGE_GOLDEN=1`, which CI's release test job sets; regenerate
+/// with `UPDATE_GOLDEN=1 RUN_LARGE_GOLDEN=1`. The committed
 /// snapshot holds headline measures only — marking count and the two
 /// requested steady-state measures — compared at 1e-6 relative, not
 /// byte-locked, so tolerance-level drift in a 10⁶-state iteration does

@@ -239,6 +239,28 @@ fn oversized_body_rejected_413() {
     server.shutdown();
 }
 
+/// A ~120 KB body nested 60 000 levels deep — well under the body cap —
+/// used to overflow a worker's stack and abort the whole daemon. It is
+/// now refused as malformed JSON, and the daemon keeps serving.
+#[test]
+fn deeply_nested_body_refused_400_and_daemon_survives() {
+    let server = boot(|c| c.workers = 1);
+    let addr = server.local_addr().to_string();
+
+    let depth = 60_000;
+    let deep = format!(r#"{{"ctmc": {}{}}}"#, "[".repeat(depth), "]".repeat(depth));
+    let refused = post(&addr, "/solve", &deep);
+    assert_eq!(refused.status, 400, "{}", refused.body);
+    assert_eq!(error_kind(&refused), "invalid_parameter");
+    assert!(refused.body.contains("deeper than"), "{}", refused.body);
+
+    let health = get(&addr, "/healthz");
+    assert_eq!(health.status, 200);
+    assert_eq!(post(&addr, "/solve", QUICK_DOC).status, 200);
+    assert_no_leaked_slots(&server, &addr);
+    server.shutdown();
+}
+
 /// Slow-loris: a client that dribbles headers (or never sends its
 /// promised body) is cut off 408 once the read budget elapses, instead
 /// of pinning a connection forever.

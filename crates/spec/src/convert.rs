@@ -1334,8 +1334,8 @@ fn solve_spn_stream(
     trans_ids: &FxHashMap<String, reliab_spn::TransitionId>,
 ) -> Result<(SolvedMeasures, SolveStats)> {
     use reliab_stream::{
-        bounded_steady_reward, macro_states_for_budget, plan_steady, scan_rates, steady_state,
-        ArenaRowSource, PlanOutcome, RowSource, StreamMethod, StreamOptions,
+        bounded_steady_reward, macro_states_for_budget, plan_steady, steady_state, ArenaRowSource,
+        PlanOutcome, RowSource, StreamMethod, StreamOptions,
     };
     let space = spn.tangible_space(ropts)?;
     let mut stats = SolveStats::default();
@@ -1374,10 +1374,12 @@ fn solve_spn_stream(
             ..Default::default()
         };
         let mut src = ArenaRowSource::new(&space);
-        let scan = scan_rates(&mut src)?;
+        // Whether the budget admits an exact solve depends on the row
+        // source and the iteration vectors only, so the BFS arc count
+        // stands in for a scan of the rows.
         match plan_steady(
             space.num_markings(),
-            scan.arcs,
+            sstats.arcs as u64,
             src.resident_bytes(),
             &sopts,
         ) {

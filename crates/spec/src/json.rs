@@ -224,16 +224,23 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. The parser
+/// (and the `Drop` of the value it builds) recurses once per level, so
+/// the cap keeps any input, however deep, off the end of the stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document, requiring it to be fully consumed.
 ///
 /// # Errors
 ///
 /// Returns a human-readable message with the byte offset of the first
-/// syntax error.
+/// syntax error, or of the first array or object nested deeper than
+/// [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -250,6 +257,8 @@ pub fn parse(input: &str) -> Result<JsonValue, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -274,8 +283,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "arrays and objects nest deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -580,6 +603,16 @@ mod tests {
         for bad in ["{", "[1,", "{\"a\" 1}", "tru", "1.2.3", "\"abc", "{} extra"] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_without_exhausting_the_stack() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("deeper than 128 levels"), "{err}");
+        let deep = format!("{}1{}", "{\"a\":[".repeat(200_000), "]}".repeat(200_000));
+        assert!(parse(&deep).unwrap_err().contains("deeper than"));
     }
 
     #[test]

@@ -52,6 +52,7 @@
 #![deny(unsafe_code)]
 
 mod bound;
+mod columns;
 mod plan;
 mod source;
 mod steady;
@@ -60,7 +61,9 @@ mod transient;
 pub use bound::{bounded_steady_reward, macro_states_for_budget, BoundedSteadyReport};
 pub use plan::{plan_steady, plan_transient, MemoryPlan, PlanOutcome, StreamMethod, StreamOptions};
 pub use source::{scan_rates, ArenaRowSource, CsrRowSource, RateScan, RowSource};
-pub use steady::{steady_state, steady_state_observed, SteadyStreamReport};
+pub use steady::{
+    steady_state, steady_state_observed, steady_state_with_pass_threads, SteadyStreamReport,
+};
 pub use transient::{transient, StreamTransientReport};
 
 use reliab_core::Error;

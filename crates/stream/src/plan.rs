@@ -8,6 +8,7 @@
 //! says, so results are bitwise identical at any block count and any
 //! admitting budget.
 
+use crate::columns::{COLUMN_BYTES, ENTRY_BYTES};
 use reliab_core::{Error, Result};
 
 /// Iterative method used by [`crate::steady_state`].
@@ -103,9 +104,6 @@ impl StreamOptions {
     }
 }
 
-/// Bytes per stored column-slice entry: `(j_local: u32, i: u32, rate: f64)`.
-pub(crate) const SLICE_ENTRY_BYTES: u64 = 16;
-
 /// Hard ceiling on the auto-derived block count: beyond this the
 /// per-sweep recompute overhead dwarfs any memory saving.
 const MAX_AUTO_BLOCKS: usize = 4096;
@@ -129,7 +127,8 @@ pub struct MemoryPlan {
     pub source_bytes: usize,
     /// Bytes of iteration vectors (`π`, exit rates, scratch).
     pub vector_bytes: usize,
-    /// Estimated bytes of the full column-slice store (`arcs · 16`).
+    /// Bytes of the full column store: 12 per arc (`u32` source state,
+    /// `f64` rate) plus 4 per column offset.
     pub slice_bytes: u64,
     /// Bytes available for cached slices after source + vectors.
     pub cache_bytes: u64,
@@ -180,7 +179,7 @@ fn plan(
     blockable: bool,
     opts: &StreamOptions,
 ) -> PlanOutcome {
-    let slice_bytes = arcs * SLICE_ENTRY_BYTES;
+    let slice_bytes = arcs * ENTRY_BYTES + states as u64 * COLUMN_BYTES;
     let required = source_bytes + vector_bytes;
     let cache_bytes = match opts.mem_budget {
         None => u64::MAX,
@@ -261,7 +260,7 @@ mod tests {
         match plan_steady(1000, 5000, 64_000, &opts) {
             PlanOutcome::Exact(p) => {
                 assert_eq!(p.blocks, 1);
-                assert_eq!(p.slice_bytes, 5000 * 16);
+                assert_eq!(p.slice_bytes, 5000 * 12 + 1000 * 4);
                 assert!(p.cache_bytes > p.slice_bytes);
             }
             PlanOutcome::NeedsBounds { .. } => panic!("unlimited budget must plan exact"),
@@ -271,8 +270,8 @@ mod tests {
     #[test]
     fn tight_budget_partitions_into_blocks() {
         let opts = StreamOptions {
-            // source 0, vectors 2*8*1000 = 16k; slices 80k; budget
-            // leaves 24k spare -> ~7 blocks.
+            // source 0, vectors 2*8*1000 = 16k; slices 64k; budget
+            // leaves 24k spare -> ~6 blocks.
             mem_budget: Some(40_000),
             ..Default::default()
         };

@@ -1,7 +1,8 @@
 //! Row sources: the on-demand generator-row contract and its two
 //! implementations (SPN marking arena, materialized CSR).
 
-use reliab_core::{Error, Result};
+use crate::columns::{pass_threads, scan_pass};
+use reliab_core::Result;
 use reliab_markov::Ctmc;
 use reliab_obs as obs;
 use reliab_spn::{RowBuffer, TangibleSpace};
@@ -38,6 +39,13 @@ pub trait RowSource {
     /// Bytes resident in the source's own backing store, as counted by
     /// the memory planner (excludes transient per-row scratch).
     fn resident_bytes(&self) -> usize;
+
+    /// An independent handle regenerating the same rows, for use on
+    /// another thread. `None` (the default) keeps every row pass on the
+    /// calling thread; results are identical either way.
+    fn fork(&self) -> Option<Box<dyn RowSource + Send + '_>> {
+        None
+    }
 }
 
 /// Adapter over an already-materialized [`Ctmc`]: streams the CSR
@@ -79,6 +87,10 @@ impl RowSource for CsrRowSource<'_> {
         // counted.
         let g = self.ctmc.generator();
         (g.nrows() + 1) * 8 + g.nnz() * 16 + self.ctmc.exit_rates().len() * 8
+    }
+
+    fn fork(&self) -> Option<Box<dyn RowSource + Send + '_>> {
+        Some(Box::new(CsrRowSource::new(self.ctmc)))
     }
 }
 
@@ -128,6 +140,10 @@ impl RowSource for ArenaRowSource<'_, '_> {
     fn resident_bytes(&self) -> usize {
         self.space.resident_bytes()
     }
+
+    fn fork(&self) -> Option<Box<dyn RowSource + Send + '_>> {
+        Some(Box::new(ArenaRowSource::new(self.space)))
+    }
 }
 
 /// Exit rates and uniformization constant recovered by one full pass
@@ -150,65 +166,28 @@ pub struct RateScan {
 }
 
 /// Scans every row once, validating the [`RowSource`] contract and
-/// computing [`RateScan`].
+/// computing [`RateScan`]. Large sources are scanned in parallel row
+/// ranges; the result does not depend on the thread count.
 ///
 /// # Errors
 ///
-/// Returns [`Error::Model`] for an empty source or a contract violation
-/// (self-loop, out-of-range target, non-positive or non-finite rate),
-/// and propagates row-regeneration failures.
+/// Returns [`Error::Model`](reliab_core::Error::Model) for an empty
+/// source or a contract violation (self-loop, out-of-range target,
+/// non-positive or non-finite rate), and propagates row-regeneration
+/// failures.
 pub fn scan_rates(src: &mut dyn RowSource) -> Result<RateScan> {
     let _span = obs::span("stream.scan");
-    let n = src.num_states();
-    if n == 0 {
-        return Err(Error::model("row source has no states"));
-    }
-    let mut exit = vec![0.0f64; n];
-    let mut arcs = 0u64;
-    let mut max_row = 0usize;
-    let mut row: Vec<(u32, f64)> = Vec::new();
-    for (i, exit_i) in exit.iter_mut().enumerate() {
-        src.row(i as u32, &mut row)?;
-        arcs += row.len() as u64;
-        max_row = max_row.max(row.len());
-        for &(j, r) in &row {
-            if j as usize >= n {
-                return Err(Error::model(format!(
-                    "row {i} targets state {j}, but the source has only {n} states"
-                )));
-            }
-            if j as usize == i {
-                return Err(Error::model(format!(
-                    "row {i} contains a self-loop; row sources must emit off-diagonal arcs only"
-                )));
-            }
-            if !(r > 0.0 && r.is_finite()) {
-                return Err(Error::model(format!(
-                    "rate {r} on arc {i} -> {j} must be positive and finite"
-                )));
-            }
-            *exit_i += r;
-        }
-    }
-    let max = exit.iter().fold(0.0f64, |a, &b| a.max(b));
-    // Mirror of the in-core uniformization rate: 2% slack keeps the
-    // uniformized DTMC aperiodic, the floor avoids dividing by zero on
-    // an absorbing-only chain.
-    let q = max * 1.02 + 1e-300;
+    let threads = pass_threads(src.num_states());
+    let (scan, _) = scan_pass(src, threads, 0..0, true)?;
     obs::event(
         "stream.scan.done",
         &[
-            ("states", n.into()),
-            ("arcs", arcs.into()),
-            ("max_row", max_row.into()),
+            ("states", src.num_states().into()),
+            ("arcs", scan.arcs.into()),
+            ("max_row", scan.max_row.into()),
         ],
     );
-    Ok(RateScan {
-        exit,
-        q,
-        arcs,
-        max_row,
-    })
+    Ok(scan)
 }
 
 #[cfg(test)]

@@ -1,20 +1,48 @@
-//! Block-partitioned steady-state iteration over a [`RowSource`].
+//! Block-partitioned steady-state iteration over a [`RowSource`], with
+//! an aggregation–disaggregation step between sweeps.
 //!
-//! The generator is consumed column-block by column-block: each block's
-//! **column slice** — the arcs whose *target* lies in the block, listed
-//! in row-scan order and stably sorted by target — is either cached
-//! across sweeps or recomputed from the row source every sweep,
-//! whichever the memory plan allows. The Gauss–Seidel/SOR sweep itself
-//! always walks states in global order and consumes each column's
-//! entries in the same (row-scan, emission) sequence regardless of
-//! where block boundaries fall, so the iterates — and therefore the
-//! result — are **bitwise identical** at any block count and any
-//! admitting memory budget. Caching is purely a wall-time decision.
+//! The generator is consumed column block by column block from a
+//! compressed column store built by two row passes (see
+//! `columns.rs`). Each block's columns are either cached across sweeps
+//! or rebuilt from the row source every sweep, whichever the memory plan
+//! allows. Every column lists its arcs in row-scan order and the
+//! Gauss–Seidel/SOR sweep always walks states in global order, so the
+//! iterates — and therefore the result — are **bitwise identical** at
+//! any block count, any admitting memory budget and any row-pass thread
+//! count. Caching is purely a wall-time decision.
+//!
+//! The SOR loop carries an iterative aggregation–disaggregation (IAD)
+//! correction in the style of Koury, McAllister and Stewart. The first
+//! sweep reads each state's BFS level off its column (the smallest
+//! predecessor comes first) and groups the states into at most
+//! [`MAX_PARTS`] contiguous index ranges that cut only at level
+//! boundaries. Every later sweep accumulates the probability flow
+//! between groups as it reads the columns; the stationary vector of
+//! that small aggregate chain (solved by GTH) then rescales each group's
+//! mass before the next sweep. A degenerate aggregate — a group with no
+//! mass, or one GTH reports singular — skips the correction for that
+//! sweep, leaving a plain SOR step.
 
+use crate::columns::{fill_pass, pass_threads, scan_pass, Columns};
 use crate::plan::{plan_steady, MemoryPlan, PlanOutcome, StreamMethod, StreamOptions};
-use crate::source::{scan_rates, RateScan, RowSource};
+use crate::source::{RateScan, RowSource};
 use reliab_core::{Error, Result};
+use reliab_numeric::{gth_steady_state, DenseMatrix};
 use reliab_obs as obs;
+use std::ops::Range;
+
+/// Most groups the aggregation step partitions the states into; the
+/// aggregate chain is solved by dense GTH once per sweep.
+const MAX_PARTS: usize = 128;
+
+/// Groups worth forming for a chain with `arcs` arcs: about the cube
+/// root of the arc count (at least 2), so the per-sweep GTH solve, some
+/// `k³/3` multiply–adds, stays within a fraction of the sweep's own
+/// arithmetic. Measured on the tandem nets, finer partitions of small
+/// chains also converge in more sweeps, not fewer.
+fn groups_for(arcs: u64) -> usize {
+    ((arcs as f64).cbrt() as usize).max(2)
+}
 
 /// A steady-state distribution plus streaming-solver telemetry.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,15 +61,12 @@ pub struct SteadyStreamReport {
     /// Final-sweep residual per column block, on the same scale as
     /// `residual` — the per-shard view of convergence.
     pub block_residuals: Vec<f64>,
+    /// Aggregation–disaggregation corrections applied between SOR
+    /// sweeps (always 0 for power iteration).
+    pub aggregations: usize,
     /// The memory plan the solve ran under (`cached_blocks` filled in).
     pub plan: MemoryPlan,
 }
-
-/// One block's column slice: `(j_local, source_state, rate)` — the arcs
-/// targeting the block, grouped by local target. Entries of one column
-/// appear in the row-scan/emission order of the source, which is the
-/// invariant the bitwise block-independence guarantee rests on.
-type Slice = Vec<(u32, u32, f64)>;
 
 /// Solves `π Q = 0`, `Σ π = 1` over a row source under the options'
 /// memory budget.
@@ -69,10 +94,39 @@ pub fn steady_state_observed(
     opts: &StreamOptions,
     observer: &mut dyn FnMut(usize, f64),
 ) -> Result<SteadyStreamReport> {
+    let threads = pass_threads(src.num_states());
+    solve(src, opts, observer, threads, MAX_PARTS)
+}
+
+/// [`steady_state`] with the row passes that build the cached column
+/// store split into exactly `threads` row ranges instead of one per
+/// available core. The result is bitwise the same at every thread count;
+/// this entry point exists so tests can show it.
+///
+/// # Errors
+///
+/// See [`steady_state`].
+#[doc(hidden)]
+pub fn steady_state_with_pass_threads(
+    src: &mut dyn RowSource,
+    opts: &StreamOptions,
+    threads: usize,
+) -> Result<SteadyStreamReport> {
+    solve(src, opts, &mut |_, _| {}, threads.max(1), MAX_PARTS)
+}
+
+fn solve(
+    src: &mut dyn RowSource,
+    opts: &StreamOptions,
+    observer: &mut dyn FnMut(usize, f64),
+    threads: usize,
+    max_parts: usize,
+) -> Result<SteadyStreamReport> {
     opts.validate()?;
     let _span = obs::span("stream.steady");
-    let scan = scan_rates(src)?;
     let n = src.num_states();
+    let columns_span = obs::span("stream.columns");
+    let (scan, mut counts) = scan_pass(src, threads, 0..n, true)?;
     let mut plan = match plan_steady(n, scan.arcs, src.resident_bytes(), opts) {
         PlanOutcome::Exact(p) => p,
         PlanOutcome::NeedsBounds { required, budget } => {
@@ -90,94 +144,276 @@ pub fn steady_state_observed(
     let bs = n.div_ceil(plan.blocks);
     let nblocks = n.div_ceil(bs);
     plan.blocks = nblocks;
-
-    let (cached, cached_count) = build_cached_prefix(src, n, bs, nblocks, &plan)?;
-    plan.cached_blocks = cached_count;
+    plan.cached_blocks = cached_prefix(&plan);
+    let cached_end = (plan.cached_blocks * bs).min(n);
+    for thread in &mut counts {
+        thread.truncate(cached_end);
+        thread.shrink_to_fit();
+    }
+    let cached = fill_pass(src, 0..cached_end, counts)?;
+    drop(columns_span);
     obs::event(
         "stream.plan",
         &[
             ("states", n.into()),
             ("arcs", scan.arcs.into()),
             ("blocks", nblocks.into()),
-            ("cached_blocks", cached_count.into()),
+            ("cached_blocks", plan.cached_blocks.into()),
             ("source_bytes", plan.source_bytes.into()),
             ("slice_bytes", plan.slice_bytes.into()),
         ],
     );
 
+    let mut store = BlockStore {
+        n,
+        bs,
+        cached_blocks: plan.cached_blocks,
+        cached,
+        scratch: Columns::default(),
+        threads,
+    };
+    let sweeps_span = obs::span("stream.sweeps");
     let report = match opts.method {
         StreamMethod::Auto | StreamMethod::Sor => {
-            sor_sweeps(src, &scan, plan, opts, cached, observer)
+            sor_sweeps(src, &scan, plan, opts, &mut store, max_parts, observer)
         }
-        StreamMethod::Power => power_iterations(src, &scan, plan, opts, cached, observer),
+        StreamMethod::Power => power_iterations(src, &scan, plan, opts, &mut store, observer),
     }?;
+    drop(sweeps_span);
     obs::counter_add("stream.steady.solves", 1);
     obs::counter_add("stream.steady.iterations", report.iterations as u64);
+    obs::counter_add("stream.aggregations", report.aggregations as u64);
     Ok(report)
 }
 
-/// Builds the column slices of blocks `0..prefix` in a single scan of
-/// the source, where `prefix` is how many leading blocks the cache pool
-/// is estimated to hold (all of them when the whole slice store fits).
-fn build_cached_prefix(
-    src: &mut dyn RowSource,
-    n: usize,
-    bs: usize,
-    nblocks: usize,
-    plan: &MemoryPlan,
-) -> Result<(Vec<Option<Slice>>, usize)> {
-    let prefix = if plan.slice_bytes <= plan.cache_bytes {
-        nblocks
-    } else {
-        // Estimate per-block bytes from the total; keep one block's
-        // worth of headroom as recompute scratch.
-        let per_block = (plan.slice_bytes / nblocks as u64).max(1);
-        let fit = plan.cache_bytes.saturating_sub(per_block) / per_block;
-        usize::try_from(fit).unwrap_or(nblocks).min(nblocks)
-    };
-    let mut cached: Vec<Option<Slice>> = (0..nblocks)
-        .map(|b| if b < prefix { Some(Vec::new()) } else { None })
-        .collect();
-    if prefix > 0 {
-        let mut row: Vec<(u32, f64)> = Vec::new();
-        for i in 0..n {
-            src.row(i as u32, &mut row)?;
-            for &(j, r) in &row {
-                let b = j as usize / bs;
-                if let Some(slice) = cached[b].as_mut() {
-                    slice.push((j - (b * bs) as u32, i as u32, r));
-                }
-            }
-        }
-        for slice in cached.iter_mut().flatten() {
-            slice.sort_by_key(|t| t.0);
-        }
+/// How many leading blocks stay cached: all of them when the whole
+/// column store fits, else as many average-sized blocks as the cache
+/// pool holds with one block's worth of headroom kept as rebuild
+/// scratch.
+fn cached_prefix(plan: &MemoryPlan) -> usize {
+    if plan.slice_bytes <= plan.cache_bytes {
+        return plan.blocks;
     }
-    Ok((cached, prefix))
+    let per_block = (plan.slice_bytes / plan.blocks as u64).max(1);
+    let fit = plan.cache_bytes.saturating_sub(per_block) / per_block;
+    usize::try_from(fit).unwrap_or(plan.blocks).min(plan.blocks)
 }
 
-/// Rebuilds one block's column slice from the source — byte-identical
-/// to the cached construction: arcs collected in row-scan order, then
-/// stably sorted by local target.
-fn rebuild_slice(
-    src: &mut dyn RowSource,
+/// The column store of one solve: the cached leading blocks, plus a
+/// scratch store each remaining block is rebuilt into when the sweep
+/// reaches it.
+struct BlockStore {
     n: usize,
-    lo: usize,
-    hi: usize,
-    row: &mut Vec<(u32, f64)>,
-    out: &mut Slice,
-) -> Result<()> {
-    out.clear();
-    for i in 0..n {
-        src.row(i as u32, row)?;
-        for &(j, r) in row.iter() {
-            if (j as usize) >= lo && (j as usize) < hi {
-                out.push((j - lo as u32, i as u32, r));
+    bs: usize,
+    cached_blocks: usize,
+    cached: Columns,
+    scratch: Columns,
+    threads: usize,
+}
+
+impl BlockStore {
+    fn range(&self, b: usize) -> Range<usize> {
+        b * self.bs..((b + 1) * self.bs).min(self.n)
+    }
+
+    /// The columns of block `b`, rebuilt by two row passes unless
+    /// cached — byte-identical either way.
+    fn block(&mut self, src: &mut dyn RowSource, b: usize) -> Result<&Columns> {
+        if b < self.cached_blocks {
+            return Ok(&self.cached);
+        }
+        let cols = self.range(b);
+        self.scratch = Columns::default();
+        // A rebuild runs every sweep: spawn threads for it only where
+        // the row count pays for them.
+        let threads = self.threads.min(pass_threads(self.n));
+        let (_, counts) = scan_pass(src, threads, cols.clone(), false)?;
+        self.scratch = fill_pass(src, cols, counts)?;
+        Ok(&self.scratch)
+    }
+}
+
+/// The aggregation–disaggregation state of one SOR solve. It holds
+/// O(levels + groups²) numbers, nothing per state, so it adds nothing
+/// to the memory plan worth counting.
+struct Aggregation {
+    max_parts: usize,
+    /// First state of each BFS level, filled during the first sweep.
+    level_starts: Vec<usize>,
+    groups: Groups,
+    /// `flows[to * k + from]`: probability flow from group `from` into
+    /// group `to` accumulated by the current sweep.
+    flows: Vec<f64>,
+}
+
+impl Aggregation {
+    fn new(max_parts: usize) -> Self {
+        Aggregation {
+            max_parts,
+            level_starts: Vec::new(),
+            groups: Groups::default(),
+            flows: Vec::new(),
+        }
+    }
+
+    /// Whether sweeps accumulate flows for a correction: only once the
+    /// states are split into at least two groups.
+    fn active(&self) -> bool {
+        self.groups.len() >= 2
+    }
+
+    /// Records the BFS levels of the columns `range`, which must follow
+    /// the columns recorded before, from their smallest predecessor: in
+    /// a BFS numbering that is the state whose expansion discovered the
+    /// column. Levels are kept non-decreasing in the state index, so
+    /// any numbering yields contiguous levels and groups.
+    fn learn_levels(&mut self, cols: &Columns, range: Range<usize>) {
+        if self.max_parts < 2 {
+            return;
+        }
+        for j in range {
+            let level = self.level_starts.len();
+            let deeper = match cols.column(j).0.first() {
+                Some(&i) if (i as usize) < j => {
+                    self.level_starts.partition_point(|&s| s <= i as usize) == level
+                }
+                _ => false,
+            };
+            if level == 0 || deeper {
+                self.level_starts.push(j);
             }
         }
     }
-    out.sort_by_key(|t| t.0);
-    Ok(())
+
+    /// Groups the `n` states once the first sweep has read every level.
+    fn partition(&mut self, n: usize) {
+        let cuts = level_cuts(&std::mem::take(&mut self.level_starts), n, self.max_parts);
+        self.groups = Groups::new(cuts);
+        let k = self.groups.len();
+        if k >= 2 {
+            self.flows = vec![0.0; k * k];
+        }
+    }
+
+    /// Probability mass of each group (empty while inactive).
+    fn masses(&self, pi: &[f64]) -> Vec<f64> {
+        if !self.active() {
+            return Vec::new();
+        }
+        self.groups
+            .cuts
+            .windows(2)
+            .map(|w| pi[w[0]..w[1]].iter().sum())
+            .collect()
+    }
+
+    /// Rescales `pi`, whose groups hold `mass`, by the stationary
+    /// vector of the aggregate chain built from this sweep's flows,
+    /// normalizing it to sum 1. Returns `false`, leaving `pi` untouched,
+    /// when the aggregate is degenerate.
+    fn correct(&self, pi: &mut [f64], mass: &[f64]) -> bool {
+        let Some(factors) = aggregate_factors(&self.flows, mass) else {
+            return false;
+        };
+        for (w, f) in self.groups.cuts.windows(2).zip(factors) {
+            for p in &mut pi[w[0]..w[1]] {
+                *p *= f;
+            }
+        }
+        true
+    }
+}
+
+/// Group boundaries for the aggregation step over `n` states whose
+/// BFS levels start at `level_starts`: each group spans
+/// `ceil(levels / max_parts)` consecutive levels, hence at most
+/// `max_parts` groups. Returns `[0, n]` (one group) when `max_parts < 2`.
+fn level_cuts(level_starts: &[usize], n: usize, max_parts: usize) -> Vec<usize> {
+    let mut cuts = vec![0];
+    if max_parts >= 2 {
+        let per = level_starts.len().div_ceil(max_parts).max(1);
+        cuts.extend(level_starts.iter().skip(per).step_by(per));
+    }
+    cuts.push(n);
+    cuts
+}
+
+/// Contiguous groups of states with a coarse lookup table from state
+/// to group, so the sweep finds the group of an arc's source in a step
+/// or two without storing a group per state.
+#[derive(Debug, Default)]
+struct Groups {
+    /// Group `g` holds the states `cuts[g]..cuts[g + 1]`.
+    cuts: Vec<usize>,
+    /// `first[i >> shift]`: the group of the first state in each run
+    /// of `1 << shift` states.
+    first: Vec<u8>,
+    shift: u32,
+}
+
+impl Groups {
+    /// Lookup runs per group: enough that a run rarely spans a cut.
+    const RUNS_PER_GROUP: usize = 32;
+
+    fn new(cuts: Vec<usize>) -> Self {
+        let k = cuts.len() - 1;
+        let n = cuts[k];
+        debug_assert!(k <= usize::from(u8::MAX) + 1);
+        let runs = (k * Self::RUNS_PER_GROUP).max(1);
+        let shift = n.div_ceil(runs).next_power_of_two().trailing_zeros();
+        let mut g = 0;
+        let first = (0..n.div_ceil(1 << shift))
+            .map(|run| {
+                while cuts[g + 1] <= run << shift {
+                    g += 1;
+                }
+                g as u8
+            })
+            .collect();
+        Groups { cuts, first, shift }
+    }
+
+    /// Number of groups (0 before any exist).
+    fn len(&self) -> usize {
+        self.cuts.len().saturating_sub(1)
+    }
+
+    /// The group holding state `i`.
+    #[inline]
+    fn of(&self, i: usize) -> usize {
+        let mut g = usize::from(self.first[i >> self.shift]);
+        while self.cuts[g + 1] <= i {
+            g += 1;
+        }
+        g
+    }
+}
+
+/// Per-group rescaling factors from an aggregate chain: `flows[to * k +
+/// from]` is the flow between groups, `mass[g]` each group's current
+/// (unnormalized) probability. With `η` the stationary vector of the
+/// chain whose rates are the flows, group `g`'s aggregate probability is
+/// proportional to `η_g · mass_g`, so the factors `η_g / Σ η·mass`
+/// rescale and normalize in one step. `None` when
+/// the aggregate is degenerate: a group without positive finite mass,
+/// or a chain GTH reports singular.
+fn aggregate_factors(flows: &[f64], mass: &[f64]) -> Option<Vec<f64>> {
+    let k = mass.len();
+    if mass.iter().any(|&m| !(m > 0.0 && m.is_finite())) {
+        return None;
+    }
+    let mut q = DenseMatrix::zeros(k, k);
+    for to in 0..k {
+        for from in (0..k).filter(|&from| from != to) {
+            q.set(from, to, flows[to * k + from]);
+        }
+    }
+    let eta = gth_steady_state(&q).ok()?;
+    let total: f64 = eta.iter().zip(mass).map(|(e, m)| e * m).sum();
+    if !(eta.iter().all(|&e| e > 0.0) && total > 0.0 && total.is_finite()) {
+        return None;
+    }
+    Some(eta.into_iter().map(|e| e / total).collect())
 }
 
 fn sor_sweeps(
@@ -185,11 +421,11 @@ fn sor_sweeps(
     scan: &RateScan,
     plan: MemoryPlan,
     opts: &StreamOptions,
-    cached: Vec<Option<Slice>>,
+    store: &mut BlockStore,
+    max_parts: usize,
     observer: &mut dyn FnMut(usize, f64),
 ) -> Result<SteadyStreamReport> {
     let n = plan.states;
-    let bs = n.div_ceil(plan.blocks);
     // Gauss–Seidel divides by -q_jj = the exit rate; a zero exit rate
     // is an absorbing state, which an ergodic steady state cannot have.
     for (j, &e) in scan.exit.iter().enumerate() {
@@ -204,32 +440,47 @@ fn sor_sweeps(
     let mut pi = vec![1.0 / n as f64; n];
     let omega = opts.relaxation;
     let mut block_res = vec![0.0f64; plan.blocks];
-    let mut scratch: Slice = Vec::new();
-    let mut row: Vec<(u32, f64)> = Vec::new();
+    let mut agg = Aggregation::new(max_parts.min(groups_for(scan.arcs)));
+    let mut aggregations = 0usize;
     for iter in 0..opts.max_iterations {
         let mut max_change = 0.0f64;
         let mut max_val = 0.0f64;
-        for (b, maybe) in cached.iter().enumerate() {
-            let lo = b * bs;
-            let hi = (lo + bs).min(n);
-            let slice: &Slice = if let Some(s) = maybe {
-                s
-            } else {
-                rebuild_slice(src, n, lo, hi, &mut row, &mut scratch)?;
-                &scratch
-            };
-            let mut cursor = 0usize;
+        let flowing = agg.active();
+        let k = agg.groups.len();
+        agg.flows.fill(0.0);
+        // The group of the state being relaxed, while flowing.
+        let mut to = 0usize;
+        for (b, block_change_out) in block_res.iter_mut().enumerate() {
+            let range = store.range(b);
+            let cols = store.block(src, b)?;
             let mut block_change = 0.0f64;
-            for j in lo..hi {
-                let jl = (j - lo) as u32;
+            for j in range.clone() {
                 // pi_j_new = (sum_{i != j} pi_i q_ij) / (-q_jj), with the
                 // partial sum consuming column j's entries in the
                 // blocking-independent row-scan order.
+                let (from, rates) = cols.column(j);
                 let mut acc = 0.0;
-                while cursor < slice.len() && slice[cursor].0 == jl {
-                    let (_, i, r) = slice[cursor];
-                    acc += pi[i as usize] * r;
-                    cursor += 1;
+                if flowing {
+                    // Only arcs from other groups carry aggregate flow;
+                    // within a group they cancel out of the aggregate.
+                    let cuts = &agg.groups.cuts;
+                    while j >= cuts[to + 1] {
+                        to += 1;
+                    }
+                    let (lo, hi) = (cuts[to], cuts[to + 1]);
+                    let flow = &mut agg.flows[to * k..(to + 1) * k];
+                    for (&i, &r) in from.iter().zip(rates) {
+                        let i = i as usize;
+                        let v = pi[i] * r;
+                        acc += v;
+                        if i < lo || i >= hi {
+                            flow[agg.groups.of(i)] += v;
+                        }
+                    }
+                } else {
+                    for (&i, &r) in from.iter().zip(rates) {
+                        acc += pi[i as usize] * r;
+                    }
                 }
                 let new = acc / scan.exit[j];
                 let relaxed = omega * new + (1.0 - omega) * pi[j];
@@ -239,7 +490,10 @@ fn sor_sweeps(
                 pi[j] = relaxed;
                 max_val = max_val.max(relaxed.abs());
             }
-            block_res[b] = block_change;
+            if iter == 0 {
+                agg.learn_levels(cols, range);
+            }
+            *block_change_out = block_change;
             if obs::trace_enabled() {
                 obs::event(
                     "stream.block",
@@ -251,18 +505,22 @@ fn sor_sweeps(
                 );
             }
         }
-        // Normalize each sweep to keep the iterate bounded.
-        let total: f64 = pi.iter().sum();
+        if iter == 0 {
+            agg.partition(n);
+        }
+        let mass = agg.masses(&pi);
+        let total: f64 = if flowing {
+            mass.iter().sum()
+        } else {
+            pi.iter().sum()
+        };
         if !total.is_finite() || total <= 0.0 {
             return Err(Error::numerical(
                 "singular system: SOR iterate collapsed; chain may be reducible",
             ));
         }
-        for p in &mut pi {
-            *p /= total;
-        }
-        if max_val > 0.0 {
-            let rel = max_change / max_val;
+        let rel = (max_val > 0.0).then(|| max_change / max_val);
+        if let Some(rel) = rel {
             observer(iter + 1, rel);
             obs::event(
                 "stream.iteration",
@@ -272,19 +530,30 @@ fn sor_sweeps(
                     ("residual", rel.into()),
                 ],
             );
-            if rel < opts.tolerance {
-                for r in &mut block_res {
-                    *r /= max_val;
-                }
-                return Ok(SteadyStreamReport {
-                    pi,
-                    method: "stream-sor",
-                    iterations: iter + 1,
-                    residual: rel,
-                    block_residuals: block_res,
-                    plan,
-                });
+        }
+        let converged = rel.is_some_and(|rel| rel < opts.tolerance);
+        // Normalize each sweep to keep the iterate bounded; the
+        // aggregation correction normalizes as it rescales.
+        if flowing && !converged && agg.correct(&mut pi, &mass) {
+            aggregations += 1;
+        } else {
+            for p in &mut pi {
+                *p /= total;
             }
+        }
+        if let (true, Some(rel)) = (converged, rel) {
+            for r in &mut block_res {
+                *r /= max_val;
+            }
+            return Ok(SteadyStreamReport {
+                pi,
+                method: "stream-sor",
+                iterations: iter + 1,
+                residual: rel,
+                block_residuals: block_res,
+                aggregations,
+                plan,
+            });
         }
         if iter + 1 == opts.max_iterations {
             return Err(Error::Convergence {
@@ -302,39 +571,27 @@ fn power_iterations(
     scan: &RateScan,
     plan: MemoryPlan,
     opts: &StreamOptions,
-    cached: Vec<Option<Slice>>,
+    store: &mut BlockStore,
     observer: &mut dyn FnMut(usize, f64),
 ) -> Result<SteadyStreamReport> {
     let n = plan.states;
-    let bs = n.div_ceil(plan.blocks);
     let q = scan.q;
     let mut pi = vec![1.0 / n as f64; n];
     let mut next = vec![0.0f64; n];
     let mut block_res = vec![0.0f64; plan.blocks];
-    let mut scratch: Slice = Vec::new();
-    let mut row: Vec<(u32, f64)> = Vec::new();
     for iter in 0..opts.max_iterations {
         // next = P^T pi for the uniformized DTMC P = I + Q/q, assembled
         // per column block (column sums are blocking-independent).
-        for (b, maybe) in cached.iter().enumerate() {
-            let lo = b * bs;
-            let hi = (lo + bs).min(n);
-            let slice: &Slice = if let Some(s) = maybe {
-                s
-            } else {
-                rebuild_slice(src, n, lo, hi, &mut row, &mut scratch)?;
-                &scratch
-            };
-            let mut cursor = 0usize;
-            for (j, nj) in next.iter_mut().enumerate().take(hi).skip(lo) {
-                let jl = (j - lo) as u32;
+        for b in 0..plan.blocks {
+            let range = store.range(b);
+            let cols = store.block(src, b)?;
+            for j in range {
+                let (from, rates) = cols.column(j);
                 let mut acc = 0.0;
-                while cursor < slice.len() && slice[cursor].0 == jl {
-                    let (_, i, r) = slice[cursor];
+                for (&i, &r) in from.iter().zip(rates) {
                     acc += pi[i as usize] * r;
-                    cursor += 1;
                 }
-                *nj = pi[j] * (1.0 - scan.exit[j] / q) + acc / q;
+                next[j] = pi[j] * (1.0 - scan.exit[j] / q) + acc / q;
             }
         }
         let total: f64 = next.iter().sum();
@@ -348,10 +605,8 @@ fn power_iterations(
         }
         let mut change = 0.0f64;
         for (b, res) in block_res.iter_mut().enumerate() {
-            let lo = b * bs;
-            let hi = (lo + bs).min(n);
             let mut bc = 0.0f64;
-            for j in lo..hi {
+            for j in store.range(b) {
                 bc = bc.max((pi[j] - next[j]).abs());
             }
             *res = bc;
@@ -374,6 +629,7 @@ fn power_iterations(
                 iterations: iter + 1,
                 residual: change,
                 block_residuals: block_res,
+                aggregations: 0,
                 plan,
             });
         }
@@ -527,5 +783,124 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, Error::Convergence { iterations: 2, .. }));
+    }
+
+    fn plain_sor(c: &Ctmc) -> Vec<f64> {
+        c.steady_state_with(&SteadyStateMethod::Sor(IterativeOptions::default()))
+            .unwrap()
+    }
+
+    #[test]
+    fn aggregation_cuts_sweeps_and_keeps_the_answer() {
+        let c = birth_death(500, 1.0, 1.1);
+        let exact = c.steady_state().unwrap();
+        let err = |pi: &[f64]| {
+            pi.iter()
+                .zip(&exact)
+                .map(|(a, e)| (a - e).abs())
+                .fold(0.0f64, f64::max)
+        };
+        let mut src = CsrRowSource::new(&c);
+        let opts = StreamOptions::default();
+        let iad = steady_state(&mut src, &opts).unwrap();
+        let plain = solve(&mut src, &opts, &mut |_, _| {}, 1, 1).unwrap();
+        assert!(iad.aggregations > 0);
+        assert_eq!(plain.aggregations, 0);
+        assert!(
+            iad.iterations * 2 < plain.iterations,
+            "{} sweeps with aggregation vs {} without",
+            iad.iterations,
+            plain.iterations
+        );
+        assert!(err(&iad.pi) < 1e-9, "aggregated error {}", err(&iad.pi));
+    }
+
+    #[test]
+    fn levels_follow_the_bfs_and_cut_only_at_their_boundaries() {
+        // A birth–death chain numbered from state 0 is its own BFS:
+        // state j sits at level j.
+        let c = birth_death(10, 1.0, 2.0);
+        let mut src = CsrRowSource::new(&c);
+        let (_, counts) = scan_pass(&mut src, 1, 0..10, false).unwrap();
+        let cols = fill_pass(&mut src, 0..10, counts).unwrap();
+        let mut agg = Aggregation::new(MAX_PARTS);
+        agg.learn_levels(&cols, 0..4);
+        agg.learn_levels(&cols, 4..10);
+        assert_eq!(agg.level_starts, (0..10).collect::<Vec<usize>>());
+        assert_eq!(level_cuts(&agg.level_starts, 10, 4), vec![0, 3, 6, 9, 10]);
+        // Levels 0, 0, 1, 1, 1, 2.
+        assert_eq!(level_cuts(&[0, 2, 5], 6, 128), vec![0, 2, 5, 6]);
+        assert_eq!(level_cuts(&[0, 2, 5], 6, 2), vec![0, 5, 6]);
+        assert_eq!(level_cuts(&[0, 2, 5], 6, 1), vec![0, 6]);
+
+        let groups = Groups::new(vec![0, 2, 5, 6, 9]);
+        let of: Vec<usize> = (0..9).map(|i| groups.of(i)).collect();
+        assert_eq!(of, [0, 0, 1, 1, 1, 2, 3, 3, 3]);
+    }
+
+    #[test]
+    fn a_single_level_falls_back_to_plain_sor() {
+        // One level means one group: no aggregate chain to solve, and
+        // the iterates are plain Gauss–Seidel's, bit for bit.
+        let mut agg = Aggregation::new(MAX_PARTS);
+        agg.level_starts = vec![0];
+        agg.partition(5);
+        assert!(!agg.active());
+        assert_eq!(agg.groups.cuts, vec![0, 5]);
+
+        let c = birth_death(40, 1.0, 2.5);
+        let mut src = CsrRowSource::new(&c);
+        let r = solve(&mut src, &StreamOptions::default(), &mut |_, _| {}, 1, 1).unwrap();
+        assert_eq!(r.aggregations, 0);
+        assert_eq!(r.pi, plain_sor(&c));
+    }
+
+    #[test]
+    fn a_degenerate_aggregate_falls_back_to_plain_sor() {
+        assert!(aggregate_factors(&[0.0, 1.0, 1.0, 0.0], &[0.0, 1.0]).is_none());
+        // Group 1 never leaves: the aggregate is reducible.
+        assert!(aggregate_factors(&[0.0, 0.0, 1.0, 0.0], &[0.5, 0.5]).is_none());
+        let f = aggregate_factors(&[0.0, 3.0, 1.0, 0.0], &[0.5, 0.25]).unwrap();
+        assert!((f[0] * 0.5 + f[1] * 0.25 - 1.0).abs() < 1e-15);
+
+        // State 0 has no predecessor and feeds every state of the
+        // birth–death chain 1..=6, all of which sit one level below it.
+        // After the first sweep group {0} holds no mass, so every
+        // correction is skipped: the solve is plain SOR and converges.
+        let mut b = CtmcBuilder::new();
+        let ids: Vec<_> = (0..7).map(|i| b.state(&format!("s{i}"))).collect();
+        for j in 1..7 {
+            b.transition(ids[0], ids[j], 0.5).unwrap();
+        }
+        for j in 1..6 {
+            b.transition(ids[j], ids[j + 1], 1.0).unwrap();
+            b.transition(ids[j + 1], ids[j], 1.5).unwrap();
+        }
+        let c = b.build().unwrap();
+        let mut src = CsrRowSource::new(&c);
+        let r = steady_state(&mut src, &StreamOptions::default()).unwrap();
+        assert!(r.iterations > 2);
+        assert_eq!(r.aggregations, 0);
+        assert_eq!(r.pi, plain_sor(&c));
+        assert_eq!(r.pi[0], 0.0);
+    }
+
+    #[test]
+    fn pass_threads_leave_the_result_bitwise_unchanged() {
+        let c = birth_death(61, 1.3, 2.1);
+        let mut src = CsrRowSource::new(&c);
+        let reference =
+            steady_state_with_pass_threads(&mut src, &StreamOptions::default(), 1).unwrap();
+        for threads in [2, 3, 7] {
+            for blocks in [None, Some(4)] {
+                let opts = StreamOptions {
+                    blocks,
+                    ..Default::default()
+                };
+                let r = steady_state_with_pass_threads(&mut src, &opts, threads).unwrap();
+                assert_eq!(r.pi, reference.pi, "threads {threads}, blocks {blocks:?}");
+                assert_eq!(r.iterations, reference.iterations);
+            }
+        }
     }
 }

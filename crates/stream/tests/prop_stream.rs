@@ -2,7 +2,8 @@
 //! bounded SPNs, the arena row source must reproduce the materialized
 //! generator exactly, the streaming solvers must agree with the in-core
 //! path to tight tolerances, and the streamed results must be bitwise
-//! identical at any block count and any admitting memory budget.
+//! identical at any block count, any admitting memory budget and any
+//! number of row-pass threads.
 //!
 //! Net generation is seeded and self-contained so any failure
 //! reproduces from the seed in the assertion message (same scheme as
@@ -11,8 +12,8 @@
 use reliab_markov::{IterativeOptions, SteadyStateMethod, TransientOptions};
 use reliab_spn::{PlaceId, ReachabilityOptions, SpnBuilder};
 use reliab_stream::{
-    scan_rates, steady_state, transient, ArenaRowSource, CsrRowSource, RowSource, StreamMethod,
-    StreamOptions,
+    scan_rates, steady_state, steady_state_with_pass_threads, transient, ArenaRowSource,
+    CsrRowSource, RowSource, StreamMethod, StreamOptions,
 };
 
 /// splitmix64 — deterministic, dependency-free.
@@ -202,22 +203,22 @@ fn stream_results_are_bitwise_invariant_to_blocks_and_budget() {
         };
         for blocks in [1usize, 2, 5, 32, 1000] {
             for method in [StreamMethod::Sor, StreamMethod::Power] {
-                let r = steady_state(
-                    &mut arena,
-                    &StreamOptions {
-                        blocks: Some(blocks),
-                        method,
-                        ..Default::default()
-                    },
-                );
+                let opts = StreamOptions {
+                    blocks: Some(blocks),
+                    method,
+                    ..Default::default()
+                };
                 if method == StreamMethod::Sor {
-                    let r = r.unwrap();
-                    assert_eq!(
-                        r.pi, reference.pi,
-                        "seed {seed}, blocks {blocks}: SOR not block-invariant"
-                    );
-                    assert_eq!(r.iterations, reference.iterations, "seed {seed}");
-                } else if let Ok(r) = r {
+                    for threads in [1usize, 2, 3] {
+                        let r = steady_state_with_pass_threads(&mut arena, &opts, threads).unwrap();
+                        assert_eq!(
+                            r.pi, reference.pi,
+                            "seed {seed}, blocks {blocks}, threads {threads}: SOR not \
+                             block/thread-invariant"
+                        );
+                        assert_eq!(r.iterations, reference.iterations, "seed {seed}");
+                    }
+                } else if let Ok(r) = steady_state(&mut arena, &opts) {
                     // Power may legitimately fail to converge where SOR
                     // succeeds; when it converges it must agree loosely.
                     for i in 0..n {
@@ -231,21 +232,20 @@ fn stream_results_are_bitwise_invariant_to_blocks_and_budget() {
         }
         // Any budget that admits the model must leave the result
         // bitwise unchanged, whatever mix of cached and recomputed
-        // blocks it produces.
+        // blocks it produces and however many threads run the passes.
         let floor = arena.resident_bytes() + 2 * 8 * n;
         for extra in [0usize, 64, 512, 4096, 1 << 22] {
-            let r = steady_state(
-                &mut arena,
-                &StreamOptions {
-                    mem_budget: Some(floor + extra),
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(
-                r.pi, reference.pi,
-                "seed {seed}, budget floor+{extra}: not budget-invariant"
-            );
+            let opts = StreamOptions {
+                mem_budget: Some(floor + extra),
+                ..Default::default()
+            };
+            for threads in [1usize, 2, 3] {
+                let r = steady_state_with_pass_threads(&mut arena, &opts, threads).unwrap();
+                assert_eq!(
+                    r.pi, reference.pi,
+                    "seed {seed}, budget floor+{extra}, threads {threads}: not budget-invariant"
+                );
+            }
         }
     }
 }

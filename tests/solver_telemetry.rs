@@ -4,7 +4,13 @@
 
 use reliab::obs;
 use reliab::spec::{solve_str_with, SolveOptions, SolveReport, SteadySolver};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+/// Held by each test for its whole run. The trace subscriber is
+/// process-global, so a solve in another test of this binary would
+/// otherwise land in `trace_covers_solver_layers`'s recording, possibly
+/// caught between its `spec.solve` span opening and its first child.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 const SPEC_FILES: [&str; 4] = [
     "bridge_network.json",
@@ -40,6 +46,7 @@ fn kind_of(name: &str) -> &'static str {
 
 #[test]
 fn every_spec_and_method_populates_stats() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     for file in SPEC_FILES {
         for method in METHODS {
             let report = solve_file(file, method);
@@ -91,10 +98,11 @@ fn every_spec_and_method_populates_stats() {
 }
 
 /// Single in-process trace test: subscribers are process-global, so
-/// keeping all assertions in one `#[test]` (with `>=`-style counts)
-/// avoids racing other tests in this binary.
+/// all assertions live in one `#[test]` (with `>=`-style counts), which
+/// holds [`SERIAL`] so no other test in this binary solves meanwhile.
 #[test]
 fn trace_covers_solver_layers() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let mem = Arc::new(obs::MemorySubscriber::default());
     obs::install_subscriber(mem.clone());
     obs::set_metrics_enabled(true);
