@@ -6,10 +6,10 @@
 //! cannot fit into the run's memory budget: only the packed marking
 //! arena is generated, and the streaming tier regenerates generator
 //! rows on demand. Before any number is reported the run asserts
-//! equivalence on a reference net: the streamed steady state must match
-//! the materialized in-core solver to 1e-8, and a tight budget that
-//! forces partial slice caching must reproduce the full-cache result
-//! bitwise.
+//! equivalence: the streamed steady state of the 1 331-marking net must
+//! match dense GTH elimination to 1e-8, and on the reference net a tight
+//! budget that forces partial slice caching must reproduce the
+//! full-cache result bitwise.
 //!
 //! ```text
 //! cargo run --release -p reliab-bench --bin bench-stream             # full run, writes BENCH_stream.json
@@ -25,9 +25,10 @@
 //!   `BENCH_stream.json`; full mode only unless given explicitly).
 //! * `--check FILE` — compare against a committed baseline: exit 1 if
 //!   the stream-to-materialized time ratio on the reference net
-//!   regressed by more than 2x relative to the baseline's ratio (the
-//!   timing gate is skipped on a single-CPU machine; the memory-ceiling
-//!   assertion always runs).
+//!   regressed by more than 2x relative to the baseline's ratio. Each
+//!   side of the ratio is the median of repeated, alternating solves (7
+//!   in quick mode, 3 in full mode). The timing gate is skipped on a single-CPU
+//!   machine; the memory-ceiling assertion always runs.
 //!
 //! Exit status: 0 on success, 1 on a `--check` regression, an
 //! equivalence failure or a memory-ceiling violation, 2 on usage
@@ -39,6 +40,10 @@ use reliab_bench::{detected_cpu_cores, profiled_phases, tandem_spn};
 use reliab_spec::json::{self, JsonValue};
 use reliab_spn::ReachabilityOptions;
 use reliab_stream::{steady_state, ArenaRowSource, RowSource, StreamMethod, StreamOptions};
+
+/// Capacity of the net (1 331 markings) the streamed solve is checked
+/// against GTH on.
+const GTH_CAPACITY: u32 = 10;
 
 struct Args {
     quick: bool,
@@ -206,43 +211,66 @@ fn main() {
     drop(src);
     drop(space);
 
-    // ---- Equivalence gate 1: streamed vs materialized on the
-    // reference net, 1e-8.
-    let ref_net = tandem_spn(ref_capacity).expect("net builds");
+    // ---- Equivalence gate 1: the streamed π against GTH, an
+    // independent algorithm, on the capacity-10 net (1 331 markings;
+    // dense GTH is out of reach at the full-mode reference size), 1e-8.
     let ref_ropts = ReachabilityOptions::default();
-    let (mat_ns, pi_mat) = {
-        let t = Instant::now();
-        let solved = ref_net.solve_with(&ref_ropts).expect("bounded net");
-        let pi = solved
-            .ctmc()
-            .steady_state_with(&reliab_markov::SteadyStateMethod::Sor(
-                reliab_markov::IterativeOptions {
-                    tolerance: sopts.tolerance,
-                    max_iterations: sopts.max_iterations,
-                    relaxation: 1.0,
-                },
-            ))
-            .expect("materialized solve converges");
-        (t.elapsed().as_nanos(), pi)
-    };
+    let gth_net = tandem_spn(GTH_CAPACITY).expect("net builds");
+    let pi_gth = gth_net
+        .solve_with(&ref_ropts)
+        .expect("bounded net")
+        .ctmc()
+        .steady_state_with(&reliab_markov::SteadyStateMethod::Gth)
+        .expect("GTH solves the irreducible net");
+    let gth_space = gth_net.tangible_space(&ref_ropts).expect("bounded net");
+    let pi_stream = steady_state(&mut ArenaRowSource::new(&gth_space), &sopts)
+        .expect("stream solve converges")
+        .pi;
+    let max_diff = pi_gth
+        .iter()
+        .zip(&pi_stream)
+        .map(|(exact, streamed)| (exact - streamed).abs())
+        .fold(0.0f64, f64::max);
+    eprintln!("  GTH reference: max |Δπ| {max_diff:.3e}");
+    if max_diff > 1e-8 {
+        eprintln!("EQUIVALENCE FAILURE: streamed π deviates from GTH by {max_diff:.3e} > 1e-8");
+        std::process::exit(1);
+    }
+
+    // ---- Timing: materialized (in-core SOR) vs streamed solves of the
+    // reference net. Each side is the median of several solves: single
+    // millisecond-scale solves on a shared runner spread by 2x.
+    let ref_net = tandem_spn(ref_capacity).expect("net builds");
     let ref_space = ref_net.tangible_space(&ref_ropts).expect("bounded net");
     let mut ref_src = ArenaRowSource::new(&ref_space);
-    let t = Instant::now();
-    let ref_report = steady_state(&mut ref_src, &sopts).expect("stream solve converges");
-    let stream_ns = t.elapsed().as_nanos();
-    let mut max_diff = 0.0f64;
-    for (mat, streamed) in pi_mat.iter().zip(&ref_report.pi) {
-        max_diff = max_diff.max((mat - streamed).abs());
+    let iter_opts = reliab_markov::IterativeOptions {
+        tolerance: sopts.tolerance,
+        max_iterations: sopts.max_iterations,
+        relaxation: 1.0,
+    };
+    // The two sides alternate, so a change in the host's speed during
+    // the run slows both alike.
+    let (mut mat_times, mut stream_times) = (Vec::new(), Vec::new());
+    let mut ref_report = None;
+    for _ in 0..if args.quick { 7 } else { 3 } {
+        let t = Instant::now();
+        let solved = ref_net.solve_with(&ref_ropts).expect("bounded net");
+        solved
+            .ctmc()
+            .steady_state_with(&reliab_markov::SteadyStateMethod::Sor(iter_opts))
+            .expect("materialized solve converges");
+        mat_times.push(t.elapsed().as_nanos());
+        let t = Instant::now();
+        ref_report = Some(steady_state(&mut ref_src, &sopts).expect("stream solve converges"));
+        stream_times.push(t.elapsed().as_nanos());
     }
+    let ref_report = ref_report.expect("at least one run");
+    let (mat_ns, stream_ns) = (median(mat_times), median(stream_times));
     eprintln!(
-        "  reference: materialized {:.3} ms, streamed {:.3} ms, max |Δπ| {max_diff:.3e}",
+        "  reference: materialized {:.3} ms, streamed {:.3} ms",
         mat_ns as f64 / 1e6,
         stream_ns as f64 / 1e6
     );
-    if max_diff > 1e-8 {
-        eprintln!("EQUIVALENCE FAILURE: streamed π deviates by {max_diff:.3e} > 1e-8");
-        std::process::exit(1);
-    }
 
     // ---- Equivalence gate 2: a budget that forces partial slice
     // caching must reproduce the full-cache result bitwise.
@@ -300,7 +328,8 @@ fn main() {
         ("ref_markings", JsonValue::Number(ref_markings as f64)),
         ("ref_materialized_ns", JsonValue::Number(mat_ns as f64)),
         ("ref_stream_ns", JsonValue::Number(stream_ns as f64)),
-        ("ref_max_abs_diff", JsonValue::Number(max_diff)),
+        ("gth_markings", JsonValue::Number(pi_gth.len() as f64)),
+        ("gth_max_abs_diff", JsonValue::Number(max_diff)),
         ("partial_cache_bitwise_equal", JsonValue::Bool(true)),
         ("phases", phases),
     ]);
@@ -330,6 +359,11 @@ fn main() {
     } else {
         println!("{}", record.to_json_pretty());
     }
+}
+
+fn median(mut times: Vec<u128>) -> u128 {
+    times.sort_unstable();
+    times[times.len() / 2]
 }
 
 /// Compares this run against a committed baseline record. Machines

@@ -1,6 +1,7 @@
 //! Absorbing-chain analysis: MTTF and reliability.
 
 use crate::builder::{Ctmc, StateId};
+use crate::kernel::check_distribution;
 use crate::num_err;
 use reliab_core::{Error, Result};
 use reliab_numeric::DenseMatrix;
@@ -22,7 +23,7 @@ impl Ctmc {
     /// * [`Error::Numerical`] — some transient state cannot reach
     ///   absorption (infinite MTTF).
     pub fn mttf(&self, initial: &[f64], absorbing: &[StateId]) -> Result<f64> {
-        self.check_distribution(initial)?;
+        check_distribution(initial, self.num_states())?;
         let n = self.num_states();
         let absorbing_mask = self.absorbing_mask(absorbing)?;
         // Map transient states to compact indices.
@@ -78,7 +79,7 @@ impl Ctmc {
     ///
     /// Same conditions as [`Ctmc::mttf`] plus transient-solver errors.
     pub fn reliability_at(&self, initial: &[f64], absorbing: &[StateId], t: f64) -> Result<f64> {
-        self.check_distribution(initial)?;
+        check_distribution(initial, self.num_states())?;
         let mask = self.absorbing_mask(absorbing)?;
         let chopped = self.make_absorbing(&mask)?;
         let pi = chopped.transient(initial, t)?;
@@ -103,7 +104,7 @@ impl Ctmc {
         absorbing: &[StateId],
         times: &[f64],
     ) -> Result<Vec<f64>> {
-        self.check_distribution(initial)?;
+        check_distribution(initial, self.num_states())?;
         let mut last = 0.0;
         for &t in times {
             if !(t.is_finite() && t >= last) {
@@ -150,7 +151,7 @@ impl Ctmc {
         initial: &[f64],
         absorbing: &[StateId],
     ) -> Result<Vec<f64>> {
-        self.check_distribution(initial)?;
+        check_distribution(initial, self.num_states())?;
         let n = self.num_states();
         let mask = self.absorbing_mask(absorbing)?;
         let transient: Vec<usize> = (0..n).filter(|&i| !mask[i]).collect();

@@ -1,8 +1,10 @@
 //! CTMC construction with named states and boundary validation.
 
+use crate::kernel::{ColumnStore, CsrRowSource};
 use reliab_core::{ensure_finite_positive, Error, Result};
 use reliab_numeric::{CsrMatrix, DenseMatrix};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Opaque handle to a CTMC state, returned by [`CtmcBuilder::state`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -98,6 +100,7 @@ impl CtmcBuilder {
             transitions: self.transitions,
             out_rate,
             generator,
+            columns: OnceLock::new(),
         })
     }
 }
@@ -153,6 +156,7 @@ impl Ctmc {
             transitions,
             out_rate,
             generator,
+            columns: OnceLock::new(),
         })
     }
 
@@ -176,6 +180,9 @@ pub struct Ctmc {
     pub(crate) out_rate: Vec<f64>,
     /// Full generator (including diagonal) in CSR form.
     pub(crate) generator: CsrMatrix,
+    /// The generator's columns for the iteration kernel, built on first
+    /// use.
+    pub(crate) columns: OnceLock<ColumnStore>,
 }
 
 impl Ctmc {
@@ -220,48 +227,40 @@ impl Ctmc {
         &self.generator
     }
 
-    /// The uniformization rate `q > max_i |q_ii|` used by the transient
-    /// solver.
-    pub(crate) fn uniformization_rate(&self) -> f64 {
-        self.out_rate.iter().fold(0.0f64, |m, &r| m.max(r)) * 1.02 + 1e-300
+    /// The fully cached column store of the generator, built by the
+    /// kernel's two row passes on first use and kept with the chain.
+    pub(crate) fn columns(&self) -> Result<&ColumnStore> {
+        if let Some(store) = self.columns.get() {
+            return Ok(store);
+        }
+        let (_, store) = ColumnStore::cached(&mut CsrRowSource::new(self))?;
+        Ok(self.columns.get_or_init(|| store))
     }
 
-    /// Uniformized DTMC transition matrix `P = I + Q/q` in CSR form.
-    pub(crate) fn uniformized_dtmc(&self, q: f64) -> CsrMatrix {
+    /// Whether every state can reach every other one: the structural
+    /// condition for a unique stationary distribution with full support.
+    /// Walks the generator's rows forward and its columns backward.
+    pub fn is_irreducible(&self) -> bool {
+        let Ok(store) = self.columns() else {
+            return false;
+        };
         let n = self.num_states();
-        let mut trips: Vec<(usize, usize, f64)> = self
-            .transitions
-            .iter()
-            .map(|&(f, t, r)| (f, t, r / q))
-            .collect();
-        for (i, &r) in self.out_rate.iter().enumerate() {
-            trips.push((i, i, 1.0 - r / q));
-        }
-        CsrMatrix::from_triplets(n, n, &trips).expect("valid by construction")
-    }
-
-    /// Validates an initial probability vector against this chain.
-    pub(crate) fn check_distribution(&self, p: &[f64]) -> Result<()> {
-        if p.len() != self.num_states() {
-            return Err(Error::invalid(format!(
-                "distribution length {} != number of states {}",
-                p.len(),
-                self.num_states()
-            )));
-        }
-        let mut total = 0.0;
-        for (i, &v) in p.iter().enumerate() {
-            if !v.is_finite() || v < 0.0 {
-                return Err(Error::invalid(format!("p[{i}] = {v} must be >= 0")));
+        let covers = |next: &dyn Fn(usize) -> Vec<usize>| {
+            let mut seen = vec![false; n];
+            seen[0] = true;
+            let (mut stack, mut count) = (vec![0], 1);
+            while let Some(i) = stack.pop() {
+                for j in next(i) {
+                    if !std::mem::replace(&mut seen[j], true) {
+                        count += 1;
+                        stack.push(j);
+                    }
+                }
             }
-            total += v;
-        }
-        if (total - 1.0).abs() > 1e-9 {
-            return Err(Error::invalid(format!(
-                "distribution sums to {total}, expected 1"
-            )));
-        }
-        Ok(())
+            count == n
+        };
+        covers(&|i| self.generator.row(i).map(|(j, _)| j).collect())
+            && covers(&|j| store.sources(j).iter().map(|&i| i as usize).collect())
     }
 
     /// A point-mass initial distribution on `s`.
@@ -313,6 +312,21 @@ mod tests {
     }
 
     #[test]
+    fn irreducibility_is_structural() {
+        let mut b = CtmcBuilder::new();
+        let up = b.state("up");
+        let down = b.state("down");
+        b.transition(up, down, 1e308).unwrap();
+        b.transition(down, up, 1e-308).unwrap();
+        assert!(b.build().unwrap().is_irreducible());
+        let mut b = CtmcBuilder::new();
+        let up = b.state("up");
+        let down = b.state("down");
+        b.transition(up, down, 1.0).unwrap();
+        assert!(!b.build().unwrap().is_irreducible());
+    }
+
+    #[test]
     fn empty_chain_rejected() {
         assert!(CtmcBuilder::new().build().is_err());
     }
@@ -340,10 +354,11 @@ mod tests {
         b.transition(up, down, 1.0).unwrap();
         b.transition(down, up, 1.0).unwrap();
         let c = b.build().unwrap();
-        assert!(c.check_distribution(&[1.0, 0.0]).is_ok());
-        assert!(c.check_distribution(&[0.5]).is_err());
-        assert!(c.check_distribution(&[0.7, 0.7]).is_err());
-        assert!(c.check_distribution(&[-0.1, 1.1]).is_err());
+        let check = |p: &[f64]| crate::kernel::check_distribution(p, c.num_states());
+        assert!(check(&[1.0, 0.0]).is_ok());
+        assert!(check(&[0.5]).is_err());
+        assert!(check(&[0.7, 0.7]).is_err());
+        assert!(check(&[-0.1, 1.1]).is_err());
         assert_eq!(c.point_mass(down), vec![0.0, 1.0]);
     }
 }

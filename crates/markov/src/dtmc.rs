@@ -1,9 +1,10 @@
 //! Discrete-time Markov chains (used standalone and as embedded chains
 //! of semi-Markov processes).
 
+use crate::kernel::{self, ColumnStore, CsrRowSource, IterativeOptions};
 use crate::num_err;
 use reliab_core::{Error, Result};
-use reliab_numeric::{gth_steady_state, power_method, CsrMatrix, DenseMatrix, IterativeOptions};
+use reliab_numeric::{gth_steady_state, CsrMatrix, DenseMatrix};
 
 /// A finite discrete-time Markov chain with row-stochastic transition
 /// matrix `P`.
@@ -161,8 +162,11 @@ impl Dtmc {
         Ok(out)
     }
 
-    /// Stationary distribution. Uses GTH on `P - I` (exact, handles
-    /// periodic chains) for small chains, power iteration beyond.
+    /// Stationary distribution of `P`, which is that of the generator
+    /// `P - I`. Uses GTH on `P - I` (exact, handles periodic chains) for
+    /// small chains; beyond, the kernel's power iteration on `P - I`
+    /// uniformized, whose 2% self-loop slack makes periodic chains
+    /// converge too.
     ///
     /// # Errors
     ///
@@ -182,7 +186,11 @@ impl Dtmc {
             }
             gth_steady_state(&q).map_err(num_err)
         } else {
-            power_method(&self.p.transpose(), &IterativeOptions::default()).map_err(num_err)
+            let mut src = CsrRowSource::over(&self.p);
+            let (rates, store) = ColumnStore::cached(&mut src)?;
+            let opts = IterativeOptions::default();
+            kernel::power(&store, &mut src, &rates.exit, &opts, &mut |_, _, _| {})
+                .map(|sweeps| sweeps.pi)
         }
     }
 }
@@ -216,6 +224,23 @@ mod tests {
         let d = Dtmc::from_triplets(2, &[(0, 1, 1.0), (1, 0, 1.0)]).unwrap();
         let pi = d.steady_state().unwrap();
         assert!((pi[0] - 0.5).abs() < 1e-13);
+    }
+
+    #[test]
+    fn large_periodic_chain_solved_by_power_iteration() {
+        // A reflecting random walk on 600 states is periodic (it
+        // alternates parity) and beyond the GTH threshold. Detailed
+        // balance gives pi[i + 1] / pi[i] = 0.4 / 0.6 inside.
+        let n = 600;
+        let mut trips = vec![(0, 1, 1.0), (n - 1, n - 2, 1.0)];
+        for i in 1..n - 1 {
+            trips.push((i, i + 1, 0.4));
+            trips.push((i, i - 1, 0.6));
+        }
+        let d = Dtmc::from_triplets(n, &trips).unwrap();
+        let pi = d.steady_state().unwrap();
+        assert!((pi.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        assert!((pi[2] / pi[1] - 0.4 / 0.6).abs() < 1e-9);
     }
 
     #[test]

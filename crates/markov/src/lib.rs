@@ -13,6 +13,9 @@
 //!   via [`SteadyStateMethod`].
 //! * Transient: uniformization with Poisson tail control and optional
 //!   steady-state detection ([`TransientOptions`]).
+//! * [`kernel`] — the one implementation of SOR, power iteration and
+//!   uniformization, over any [`kernel::RowSource`]; the in-core
+//!   methods above and the `reliab-stream` tier both run it.
 //! * Absorbing analysis: MTTF, reliability as transient non-absorption
 //!   probability.
 //! * Markov reward models: steady-state, instantaneous and accumulated
@@ -43,6 +46,7 @@
 mod absorbing;
 mod builder;
 mod dtmc;
+pub mod kernel;
 mod rewards;
 mod sensitivity;
 mod steady;
@@ -50,7 +54,7 @@ mod transient;
 
 pub use builder::{Ctmc, CtmcBuilder, StateId};
 pub use dtmc::Dtmc;
-pub use reliab_numeric::{IterationStats, IterativeOptions};
+pub use kernel::IterativeOptions;
 pub use sensitivity::{sensitivity, Sensitivity};
 pub use steady::{SteadyReport, SteadyStateMethod};
 pub use transient::{TransientOptions, TransientReport};

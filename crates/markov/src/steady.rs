@@ -1,11 +1,10 @@
 //! Steady-state solution of irreducible CTMCs.
 
 use crate::builder::Ctmc;
+use crate::kernel::{self, CsrRowSource, IterativeOptions};
 use crate::num_err;
 use reliab_core::Result;
-use reliab_numeric::{
-    gth_steady_state_observed, power_method_observed, sor_steady_state_observed, IterativeOptions,
-};
+use reliab_numeric::gth_steady_state_observed;
 use reliab_obs as obs;
 
 /// Emits the per-sweep `markov.iteration` trace event shared by every
@@ -33,7 +32,8 @@ pub enum SteadyStateMethod {
     /// Dense Grassmann–Taksar–Heyman elimination: exact (to round-off),
     /// subtraction-free, `O(n³)` time / `O(n²)` memory.
     Gth,
-    /// Gauss–Seidel / SOR sweeps on the sparse generator: `O(nnz)` per
+    /// Gauss–Seidel / SOR sweeps on the sparse generator with an
+    /// aggregation–disaggregation step between sweeps: `O(nnz)` per
     /// sweep, preferred for large chains.
     Sor(IterativeOptions),
     /// Power iteration on the uniformized DTMC `P = I + Q/q`: the
@@ -65,7 +65,8 @@ impl Ctmc {
     /// # Errors
     ///
     /// * [`reliab_core::Error::Numerical`] — reducible chain (no unique
-    ///   stationary vector).
+    ///   stationary vector) or an overflowing solve.
+    /// * [`reliab_core::Error::Model`] — an absorbing state under SOR.
     /// * [`reliab_core::Error::Convergence`] — SOR budget exhausted.
     pub fn steady_state(&self) -> Result<Vec<f64>> {
         self.steady_state_with(&SteadyStateMethod::Auto)
@@ -90,26 +91,13 @@ impl Ctmc {
         let _span = obs::span("markov.steady");
         let report = match method {
             SteadyStateMethod::Gth => self.gth_report(),
-            SteadyStateMethod::Sor(opts) => self.sor_report(opts),
-            SteadyStateMethod::Power(opts) => {
-                let q = self.uniformization_rate();
-                let p = self.uniformized_dtmc(q);
-                let (pi, stats) = power_method_observed(&p.transpose(), opts, &mut |iter, res| {
-                    iteration_event("power", iter, res);
-                })
-                .map_err(num_err)?;
-                Ok(SteadyReport {
-                    pi,
-                    method: "power",
-                    iterations: stats.iterations,
-                    residual: stats.residual,
-                })
-            }
+            SteadyStateMethod::Sor(opts) => self.sweep_report("sor", opts),
+            SteadyStateMethod::Power(opts) => self.sweep_report("power", opts),
             SteadyStateMethod::Auto => {
                 if self.num_states() <= GTH_SIZE_THRESHOLD {
                     self.gth_report()
                 } else {
-                    self.sor_report(&IterativeOptions::default())
+                    self.sweep_report("sor", &IterativeOptions::default())
                 }
             }
         };
@@ -133,17 +121,22 @@ impl Ctmc {
         })
     }
 
-    fn sor_report(&self, opts: &IterativeOptions) -> Result<SteadyReport> {
-        let (pi, stats) =
-            sor_steady_state_observed(&self.generator().transpose(), opts, &mut |iter, res| {
-                iteration_event("sor", iter, res);
-            })
-            .map_err(num_err)?;
+    /// SOR (`"sor"`) or power iteration (`"power"`) in the kernel, over
+    /// the chain's cached column store.
+    fn sweep_report(&self, method: &'static str, opts: &IterativeOptions) -> Result<SteadyReport> {
+        let store = self.columns()?;
+        let mut src = CsrRowSource::new(self);
+        let observer = &mut |iter, res, _: &[f64]| iteration_event(method, iter, res);
+        let sweeps = if method == "power" {
+            kernel::power(store, &mut src, &self.out_rate, opts, observer)
+        } else {
+            kernel::sor(store, &mut src, &self.out_rate, opts, observer)
+        }?;
         Ok(SteadyReport {
-            pi,
-            method: "sor",
-            iterations: stats.iterations,
-            residual: stats.residual,
+            pi: sweeps.pi,
+            method,
+            iterations: sweeps.iterations,
+            residual: sweeps.residual,
         })
     }
 

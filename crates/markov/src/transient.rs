@@ -1,9 +1,8 @@
 //! Transient solution by uniformization (Jensen's method).
 
 use crate::builder::Ctmc;
-use crate::num_err;
+use crate::kernel::{self, CsrRowSource};
 use reliab_core::{Error, Result};
-use reliab_numeric::poisson_weights;
 use reliab_obs as obs;
 
 /// Options for the uniformization transient solver.
@@ -29,7 +28,12 @@ impl Default for TransientOptions {
 }
 
 impl TransientOptions {
-    fn validate(&self) -> Result<()> {
+    /// Checks the truncation error and the detection threshold.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidParameter`] naming the first bad field.
+    pub fn validate(&self) -> Result<()> {
         if !(self.epsilon > 0.0 && self.epsilon < 1.0) {
             return Err(Error::invalid(format!(
                 "epsilon must lie in (0,1), got {}",
@@ -103,112 +107,23 @@ impl Ctmc {
         opts: &TransientOptions,
     ) -> Result<TransientReport> {
         let _span = obs::span("markov.transient");
-        self.check_distribution(initial)?;
-        opts.validate()?;
-        if t.is_nan() || t < 0.0 || !t.is_finite() {
-            return Err(Error::invalid(format!(
-                "time must be finite and >= 0, got {t}"
-            )));
-        }
-        if t == 0.0 {
-            return Ok(TransientReport {
-                distribution: initial.to_vec(),
-                matvecs: 0,
-                poisson_terms: 0,
-                converged_at: None,
-            });
-        }
-        let q = self.uniformization_rate();
-        if q <= 1e-299 {
-            // No transitions at all: distribution never moves.
-            return Ok(TransientReport {
-                distribution: initial.to_vec(),
-                matvecs: 0,
-                poisson_terms: 0,
-                converged_at: None,
-            });
-        }
-        let p = self.uniformized_dtmc(q);
-        let w = poisson_weights(q * t, opts.epsilon).map_err(num_err)?;
-
-        let n = self.num_states();
-        let mut v = initial.to_vec();
-        let mut out = vec![0.0f64; n];
-        let mut converged_at: Option<usize> = None;
-        let mut matvecs = 0usize;
-
-        // Advance to the left truncation point, checking for early
-        // steady-state en route.
-        for _k in 0..w.left {
-            let next = p.vecmat(&v).map_err(num_err)?;
-            matvecs += 1;
-            if let Some(thresh) = opts.steady_state_detection {
-                if max_abs_diff(&v, &next) < thresh {
-                    v = next;
-                    converged_at = Some(0);
-                    break;
-                }
-            }
-            v = next;
-        }
-
-        if converged_at.is_none() {
-            for (idx, &wk) in w.weights.iter().enumerate() {
-                for i in 0..n {
-                    out[i] += wk * v[i];
-                }
-                if idx + 1 < w.weights.len() {
-                    let next = p.vecmat(&v).map_err(num_err)?;
-                    matvecs += 1;
-                    if let Some(thresh) = opts.steady_state_detection {
-                        if max_abs_diff(&v, &next) < thresh {
-                            v = next;
-                            converged_at = Some(idx + 1);
-                            break;
-                        }
-                    }
-                    v = next;
-                }
-            }
-        }
-
-        if let Some(start) = converged_at {
-            // The iterate has converged: the remaining Poisson mass all
-            // multiplies (approximately) the same vector.
-            let consumed: f64 = w.weights[..start].iter().sum();
-            let remaining = 1.0 - consumed;
-            for i in 0..n {
-                out[i] += remaining * v[i];
-            }
-        }
-
-        // Clean round-off: clamp and renormalize.
-        let mut total = 0.0;
-        for o in &mut out {
-            *o = o.max(0.0);
-            total += *o;
-        }
-        if total > 0.0 {
-            for o in &mut out {
-                *o /= total;
-            }
+        let mut src = CsrRowSource::new(self);
+        let store = || self.columns();
+        let report = kernel::transient(store, &mut src, &self.out_rate, initial, t, opts)?;
+        if report.poisson_terms == 0 {
+            return Ok(report);
         }
         obs::event(
             "markov.transient.point",
             &[
                 ("t", t.into()),
-                ("matvecs", matvecs.into()),
-                ("poisson_terms", w.weights.len().into()),
+                ("matvecs", report.matvecs.into()),
+                ("poisson_terms", report.poisson_terms.into()),
             ],
         );
         obs::counter_add("markov.transient.points", 1);
-        obs::counter_add("markov.transient.matvecs", matvecs as u64);
-        Ok(TransientReport {
-            distribution: out,
-            matvecs,
-            poisson_terms: w.weights.len(),
-            converged_at,
-        })
+        obs::counter_add("markov.transient.matvecs", report.matvecs as u64);
+        Ok(report)
     }
 
     /// Transient distributions at several time points, evaluated
@@ -262,6 +177,8 @@ impl Ctmc {
         }
 
         use std::sync::atomic::{AtomicUsize, Ordering};
+        // Build the shared column store once, before the workers need it.
+        self.columns()?;
         let next = AtomicUsize::new(0);
         let trace = obs::current_trace_id();
         let mut collected: Vec<(usize, Result<TransientReport>)> = Vec::with_capacity(times.len());
@@ -303,54 +220,10 @@ impl Ctmc {
     ///
     /// Same conditions as [`Ctmc::transient`].
     pub fn accumulated(&self, initial: &[f64], t: f64, epsilon: f64) -> Result<Vec<f64>> {
-        self.check_distribution(initial)?;
-        if t.is_nan() || t < 0.0 || !t.is_finite() {
-            return Err(Error::invalid(format!(
-                "time must be finite and >= 0, got {t}"
-            )));
-        }
-        let n = self.num_states();
-        if t == 0.0 {
-            return Ok(vec![0.0; n]);
-        }
-        let q = self.uniformization_rate();
-        if q <= 1e-299 {
-            return Ok(initial.iter().map(|&p| p * t).collect());
-        }
-        let p = self.uniformized_dtmc(q);
-        let w = poisson_weights(q * t, epsilon).map_err(num_err)?;
-
-        // cum(k) = sum of weights for j <= k; weights below w.left are
-        // negligible by construction.
-        let mut v = initial.to_vec();
-        let mut out = vec![0.0f64; n];
-        // Terms k < w.left have (1 - cum_k) ≈ 1.
-        for _k in 0..w.left {
-            for i in 0..n {
-                out[i] += v[i] / q;
-            }
-            v = p.vecmat(&v).map_err(num_err)?;
-        }
-        let mut cum = 0.0;
-        for (idx, &wk) in w.weights.iter().enumerate() {
-            cum += wk;
-            let coeff = (1.0 - cum).max(0.0) / q;
-            for i in 0..n {
-                out[i] += coeff * v[i];
-            }
-            if idx + 1 < w.weights.len() {
-                v = p.vecmat(&v).map_err(num_err)?;
-            }
-        }
-        Ok(out)
+        let mut src = CsrRowSource::new(self);
+        let store = || self.columns();
+        kernel::accumulated(store, &mut src, &self.out_rate, initial, t, epsilon)
     }
-}
-
-fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f64::max)
 }
 
 #[cfg(test)]
@@ -371,6 +244,18 @@ mod tests {
     /// A(t) = mu/(l+m) + l/(l+m) e^{-(l+m)t}.
     fn two_state_avail(l: f64, m: f64, t: f64) -> f64 {
         m / (l + m) + l / (l + m) * (-(l + m) * t).exp()
+    }
+
+    #[test]
+    fn column_store_is_built_only_for_a_moving_solve() {
+        let c = two_state(1.0, 2.0);
+        let p0 = [1.0, 0.0];
+        assert_eq!(c.transient(&p0, 0.0).unwrap(), p0);
+        assert!(c.transient(&[0.5], 1.0).is_err());
+        assert!(c.transient(&p0, -1.0).is_err());
+        assert!(c.columns.get().is_none());
+        c.transient(&p0, 1.0).unwrap();
+        assert!(c.columns.get().is_some());
     }
 
     #[test]

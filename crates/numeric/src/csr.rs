@@ -4,15 +4,14 @@ use crate::{NumericError, Result};
 
 /// A compressed-sparse-row matrix of `f64`.
 ///
-/// Built from coordinate triplets (duplicates are summed), supports the
-/// operations the iterative Markov solvers need: row iteration,
-/// matrix-vector products from either side, and transposition.
+/// Built from coordinate triplets (duplicates are summed); supports row
+/// iteration, point lookup and the row-vector product `x^T A`.
 ///
 /// ```
 /// use reliab_numeric::CsrMatrix;
 /// # fn main() -> Result<(), reliab_numeric::NumericError> {
 /// let m = CsrMatrix::from_triplets(2, 2, &[(0, 1, 3.0), (1, 0, 2.0)])?;
-/// assert_eq!(m.matvec(&[1.0, 1.0])?, vec![3.0, 2.0]);
+/// assert_eq!(m.vecmat(&[1.0, 1.0])?, vec![2.0, 3.0]);
 /// # Ok(())
 /// # }
 /// ```
@@ -150,30 +149,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Computes `self * x`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericError::Invalid`] if `x.len() != ncols`.
-    pub fn matvec(&self, x: &[f64]) -> Result<Vec<f64>> {
-        if x.len() != self.ncols {
-            return Err(NumericError::Invalid(format!(
-                "matvec dimension mismatch: {} cols vs vector of {}",
-                self.ncols,
-                x.len()
-            )));
-        }
-        let mut y = vec![0.0; self.nrows];
-        for (i, yi) in y.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for (j, v) in self.row(i) {
-                acc += v * x[j];
-            }
-            *yi = acc;
-        }
-        Ok(y)
-    }
-
     /// Computes `x^T * self`.
     ///
     /// # Errors
@@ -197,20 +172,6 @@ impl CsrMatrix {
             }
         }
         Ok(y)
-    }
-
-    /// Returns the transpose as a new CSR matrix.
-    pub fn transpose(&self) -> CsrMatrix {
-        let mut triplets = Vec::with_capacity(self.nnz());
-        for i in 0..self.nrows {
-            for (j, v) in self.row(i) {
-                triplets.push((j, i, v));
-            }
-        }
-        // from_triplets cannot fail here: coordinates are in range and
-        // values finite by construction.
-        CsrMatrix::from_triplets(self.ncols, self.nrows, &triplets)
-            .expect("transpose of a valid CSR matrix is valid")
     }
 
     /// Converts to a dense matrix (for tests and small direct solves).
@@ -248,13 +209,10 @@ mod tests {
     }
 
     #[test]
-    fn matvec_vecmat_transpose_consistency() {
+    fn vecmat_sums_rows_weighted_by_x() {
         let m = CsrMatrix::from_triplets(2, 3, &[(0, 0, 1.0), (0, 2, 2.0), (1, 1, 3.0)]).unwrap();
-        let x = [1.0, 2.0];
-        let a = m.vecmat(&x).unwrap();
-        let b = m.transpose().matvec(&x).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a, vec![1.0, 6.0, 2.0]);
+        assert_eq!(m.vecmat(&[1.0, 2.0]).unwrap(), vec![1.0, 6.0, 2.0]);
+        assert!(m.vecmat(&[1.0]).is_err());
     }
 
     #[test]
@@ -270,6 +228,6 @@ mod tests {
     fn empty_matrix_works() {
         let m = CsrMatrix::from_triplets(3, 3, &[]).unwrap();
         assert_eq!(m.nnz(), 0);
-        assert_eq!(m.matvec(&[1.0, 1.0, 1.0]).unwrap(), vec![0.0, 0.0, 0.0]);
+        assert_eq!(m.vecmat(&[1.0, 1.0, 1.0]).unwrap(), vec![0.0, 0.0, 0.0]);
     }
 }

@@ -1252,18 +1252,7 @@ fn solve_spn(spec: &SpnSpec, opts: &SolveOptions) -> Result<(SolvedMeasures, Sol
         (Vec::new(), Vec::new())
     } else {
         // Solve the chain once; both measure families share the π.
-        let iter_opts = IterativeOptions {
-            tolerance: opts.tolerance,
-            max_iterations: opts.max_iterations,
-            relaxation: 1.0,
-        };
-        let method = match opts.steady_solver {
-            SteadySolver::Gth => SteadyStateMethod::Gth,
-            SteadySolver::Sor => SteadyStateMethod::Sor(iter_opts),
-            SteadySolver::Power => SteadyStateMethod::Power(iter_opts),
-            _ => SteadyStateMethod::Auto,
-        };
-        let report = solved.ctmc().steady_state_report(&method)?;
+        let report = solved.ctmc().steady_state_report(&steady_method(opts))?;
         stats.method = Some(report.method);
         stats.iterations += report.iterations;
         stats.residual = Some(report.residual);
@@ -1492,6 +1481,21 @@ fn solve_spn_stream(
     ))
 }
 
+/// The in-core steady-state method the options ask for.
+fn steady_method(opts: &SolveOptions) -> SteadyStateMethod {
+    let iter_opts = IterativeOptions {
+        tolerance: opts.tolerance,
+        max_iterations: opts.max_iterations,
+        relaxation: 1.0,
+    };
+    match opts.steady_solver {
+        SteadySolver::Gth => SteadyStateMethod::Gth,
+        SteadySolver::Sor => SteadyStateMethod::Sor(iter_opts),
+        SteadySolver::Power => SteadyStateMethod::Power(iter_opts),
+        _ => SteadyStateMethod::Auto,
+    }
+}
+
 fn solve_ctmc(spec: &CtmcSpec, opts: &SolveOptions) -> Result<(SolvedMeasures, SolveStats)> {
     let mut b = CtmcBuilder::new();
     let mut ids: FxHashMap<String, StateId> = FxHashMap::default();
@@ -1518,19 +1522,17 @@ fn solve_ctmc(spec: &CtmcSpec, opts: &SolveOptions) -> Result<(SolvedMeasures, S
     };
     let initial = ctmc.point_mass(initial_state);
 
-    let iter_opts = IterativeOptions {
-        tolerance: opts.tolerance,
-        max_iterations: opts.max_iterations,
-        relaxation: 1.0,
-    };
-    let method = match opts.steady_solver {
-        SteadySolver::Gth => SteadyStateMethod::Gth,
-        SteadySolver::Sor => SteadyStateMethod::Sor(iter_opts),
-        SteadySolver::Power => SteadyStateMethod::Power(iter_opts),
-        _ => SteadyStateMethod::Auto,
-    };
+    let method = steady_method(opts);
     let mut stats = SolveStats::default();
-    let steady = ctmc.steady_state_report(&method).ok();
+    // Without up_states a failed steady-state solve only leaves
+    // steady_state empty. With them, a reducible chain is a model error
+    // (below); any failure on an irreducible chain — overflow,
+    // underflow, an exhausted SOR budget — keeps the solver's own kind.
+    let steady = match ctmc.steady_state_report(&method) {
+        Ok(report) => Some(report),
+        Err(e) if spec.up_states.is_some() && ctmc.is_irreducible() => return Err(e),
+        Err(_) => None,
+    };
     if let Some(report) = &steady {
         stats.method = Some(report.method);
         stats.iterations += report.iterations;
@@ -1553,7 +1555,8 @@ fn solve_ctmc(spec: &CtmcSpec, opts: &SolveOptions) -> Result<(SolvedMeasures, S
         }
         (Some(_), None) => {
             return Err(Error::model(
-                "up_states given but the chain has no stationary distribution",
+                "up_states given but the chain is reducible: it has no unique stationary \
+                 distribution",
             ))
         }
         _ => (None, None),
@@ -2304,5 +2307,65 @@ mod tests {
         let kind = crate::json::get_path(&doc, "kind").and_then(|v| v.as_str());
         assert_eq!(kind, Some("rbd"));
         assert!(crate::json::get_path(&doc, "rbd.availability").is_some());
+    }
+
+    /// The wire kind of a failed solve.
+    fn failure_kind(text: &str, opts: &SolveOptions) -> &'static str {
+        let err = solve_str_with(text, opts).expect_err("the solve must fail");
+        crate::wire::WireError::from_error(&err).kind.as_str()
+    }
+
+    #[test]
+    fn overflowing_chain_is_a_numerical_error_not_a_model_error() {
+        let chain = r#""states": ["a", "b"],
+            "transitions": [{"from": "a", "to": "b", "rate": 1e308},
+                            {"from": "b", "to": "a", "rate": 1e-308}]"#;
+        let text = format!(r#"{{"ctmc": {{{chain}, "up_states": ["a"]}}}}"#);
+        assert_eq!(failure_kind(&text, &SolveOptions::default()), "numerical");
+        // Without up_states no steady-state answer is required: the
+        // solve succeeds and leaves it empty.
+        let solved = run(&format!(r#"{{"ctmc": {{{chain}}}}}"#)).unwrap();
+        assert!(matches!(
+            solved.measures,
+            SolvedMeasures::Ctmc {
+                steady_state: None,
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn exhausted_sor_budget_is_a_convergence_error() {
+        let states: Vec<String> = (0..40).map(|i| format!("\"s{i}\"")).collect();
+        let transitions: Vec<String> = (0..39)
+            .flat_map(|i| {
+                [
+                    format!(r#"{{"from": "s{i}", "to": "s{}", "rate": 1.0}}"#, i + 1),
+                    format!(r#"{{"from": "s{}", "to": "s{i}", "rate": 1.01}}"#, i + 1),
+                ]
+            })
+            .collect();
+        let text = format!(
+            r#"{{"ctmc": {{"states": [{}], "transitions": [{}], "up_states": ["s0"]}}}}"#,
+            states.join(", "),
+            transitions.join(", ")
+        );
+        let opts = SolveOptions::default()
+            .with_steady_solver(SteadySolver::Sor)
+            .with_max_iterations(2);
+        assert_eq!(failure_kind(&text, &opts), "convergence");
+    }
+
+    #[test]
+    fn reducible_chain_with_up_states_is_a_model_error() {
+        let text = r#"{"ctmc": {"states": ["up", "dead"],
+            "transitions": [{"from": "up", "to": "dead", "rate": 1.0}],
+            "up_states": ["up"]}}"#;
+        assert_eq!(failure_kind(text, &SolveOptions::default()), "model");
+        // Without up_states the same chain solves: no steady state is
+        // asked for.
+        assert!(run(r#"{"ctmc": {"states": ["up", "dead"],
+            "transitions": [{"from": "up", "to": "dead", "rate": 1.0}]}}"#)
+        .is_ok());
     }
 }

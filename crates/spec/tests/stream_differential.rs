@@ -1,10 +1,13 @@
 //! Differential harness for the streaming large-model tier: on every
 //! shipped CTMC-bearing specification the streaming solvers must match
-//! the materialized CSR path to 1e-8, and the streamed result must be
+//! the independent in-core references — GTH elimination for steady
+//! state, the matrix exponential for transients — and the materialized
+//! SPN path to 1e-8, and the streamed result must be
 //! identical at any shard count and any memory budget that admits the
 //! model.
 
-use reliab_markov::{Ctmc, CtmcBuilder, SteadyStateMethod, TransientOptions};
+use reliab_markov::{Ctmc, CtmcBuilder, SteadyStateMethod};
+use reliab_numeric::expm;
 use reliab_spec::{solve_str_with, ModelSpec, SolveOptions, SolvedMeasures};
 use reliab_stream::{steady_state, transient, CsrRowSource, StreamOptions};
 use std::fs;
@@ -148,14 +151,14 @@ fn ctmc_of(text: &str) -> Option<Ctmc> {
 }
 
 /// Every shipped `ctmc` spec: streaming block-SOR over the CSR adapter
-/// must match the in-core steady-state solver to 1e-8 (skipping
-/// absorbing chains, where no steady state exists for either path).
+/// must match GTH elimination to 1e-8 (skipping absorbing chains, where
+/// no steady state exists for either path).
 #[test]
 fn streamed_ctmc_specs_match_in_core_steady_state() {
     let mut checked = 0;
     for (name, text) in shipped_specs() {
         let Some(ctmc) = ctmc_of(&text) else { continue };
-        let exact = match ctmc.steady_state_with(&SteadyStateMethod::Auto) {
+        let exact = match ctmc.steady_state_with(&SteadyStateMethod::Gth) {
             Ok(pi) => pi,
             Err(_) => continue, // absorbing spec: nothing to compare
         };
@@ -170,7 +173,7 @@ fn streamed_ctmc_specs_match_in_core_steady_state() {
 }
 
 /// Every shipped `ctmc` spec with time points: streaming uniformization
-/// must match the in-core transient solver to 1e-8 at the spec's own
+/// must match the matrix exponential to 1e-8 at the spec's own
 /// `at_times`.
 #[test]
 fn streamed_ctmc_specs_match_in_core_transient() {
@@ -189,9 +192,13 @@ fn streamed_ctmc_specs_match_in_core_transient() {
         p0[i0] = 1.0;
         let mut src = CsrRowSource::new(&ctmc);
         for &t in &times {
-            let exact = ctmc
-                .transient_with(&p0, t, &TransientOptions::default())
-                .unwrap();
+            let mut qt = ctmc.generator_dense();
+            for i in 0..ctmc.num_states() {
+                for j in 0..ctmc.num_states() {
+                    qt.set(i, j, qt.get(i, j) * t);
+                }
+            }
+            let exact = expm(&qt).unwrap().vecmat(&p0).unwrap();
             let streamed = transient(&mut src, &p0, t, &StreamOptions::default()).unwrap();
             for (i, (e, s)) in exact.iter().zip(&streamed.distribution).enumerate() {
                 assert!((e - s).abs() < 1e-8, "{name}, t {t}, state {i}: {e} vs {s}");

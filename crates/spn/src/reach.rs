@@ -237,6 +237,18 @@ struct RawGraph {
     max_shard_occupancy: usize,
 }
 
+/// What [`Spn::bfs_sequential`] leaves besides the arcs it emitted.
+pub(crate) struct SequentialBfs {
+    /// Every tangible marking, numbered in discovery order.
+    pub(crate) table: InternTable,
+    /// The initial distribution over tangible markings.
+    pub(crate) initial_pairs: Vec<(u32, f64)>,
+    /// Vanishing markings eliminated.
+    pub(crate) vanishing: u64,
+    /// Arcs emitted.
+    pub(crate) arcs: usize,
+}
+
 pub(crate) fn cap_error(opts: &ReachabilityOptions) -> Error {
     Error::model(format!(
         "reachability exceeded {} tangible markings",
@@ -402,11 +414,38 @@ impl Spn {
     /// intern table, which *defines* the canonical state numbering the
     /// parallel path reproduces.
     fn generate_sequential(&self, opts: &ReachabilityOptions) -> Result<RawGraph> {
+        let mut arcs: Vec<(u32, u32, f64)> = Vec::new();
+        let bfs = self.bfs_sequential(opts, |i, j, rate| arcs.push((i, j, rate)))?;
+        let count = bfs.table.count;
+        let markings: Vec<Marking> = (0..count)
+            .map(|k| bfs.table.get(k as u32).to_vec())
+            .collect();
+        Ok(RawGraph {
+            markings,
+            arcs,
+            initial_pairs: bfs.initial_pairs,
+            vanishing_eliminated: bfs.vanishing,
+            per_worker: vec![count as u64],
+            shards: 1,
+            max_shard_occupancy: count,
+        })
+    }
+
+    /// The canonical sequential BFS shared by the materializing
+    /// generator and [`Spn::tangible_space`]: interns every tangible
+    /// marking in discovery order and hands each off-diagonal arc
+    /// `(from, to, rate)` to `arc` in emission order — timed
+    /// transitions in declaration order, vanishing successors resolved
+    /// on the fly, self-loops dropped, parallel arcs kept separate.
+    pub(crate) fn bfs_sequential(
+        &self,
+        opts: &ReachabilityOptions,
+        mut arc: impl FnMut(u32, u32, f64),
+    ) -> Result<SequentialBfs> {
         let width = self.num_places();
         let timed = self.timed_indices();
-        let has_imm = self.has_immediate();
         let mut table = InternTable::new(width);
-        let mut arcs: Vec<(u32, u32, f64)> = Vec::new();
+        let mut arcs = 0usize;
         let mut vanishing = 0u64;
 
         let intern = |table: &mut InternTable, m: &[u32]| -> Result<u32> {
@@ -442,7 +481,7 @@ impl Spn {
                             ("level", level.into()),
                             ("frontier", (table.count - level_end).into()),
                             ("states", table.count.into()),
-                            ("arcs", arcs.len().into()),
+                            ("arcs", arcs.into()),
                         ],
                     );
                 }
@@ -451,41 +490,28 @@ impl Spn {
             }
             cur.clear();
             cur.extend_from_slice(table.get(i as u32));
-            for &t in &timed {
-                if !self.enabled(t, &cur) {
-                    continue;
-                }
-                let rate = self.rate_of(t, &cur)?;
-                self.fire_into(t, &cur, &mut fired);
-                if has_imm && self.any_immediate_enabled(&fired) {
-                    for (target, p) in
-                        self.resolve_vanishing(fired.clone(), opts, &mut vanishing)?
-                    {
-                        let j = intern(&mut table, &target)?;
-                        if j as usize != i {
-                            arcs.push((i as u32, j, rate * p));
-                        }
-                    }
-                } else {
-                    let j = intern(&mut table, &fired)?;
+            self.expand(
+                &cur,
+                &timed,
+                opts,
+                &mut fired,
+                &mut vanishing,
+                |target, rate| {
+                    let j = intern(&mut table, target)?;
                     if j as usize != i {
-                        arcs.push((i as u32, j, rate));
+                        arcs += 1;
+                        arc(i as u32, j, rate);
                     }
-                }
-            }
+                    Ok(())
+                },
+            )?;
             i += 1;
         }
-
-        let count = table.count;
-        let markings: Vec<Marking> = (0..count).map(|k| table.get(k as u32).to_vec()).collect();
-        Ok(RawGraph {
-            markings,
-            arcs,
+        Ok(SequentialBfs {
+            table,
             initial_pairs,
-            vanishing_eliminated: vanishing,
-            per_worker: vec![count as u64],
-            shards: 1,
-            max_shard_occupancy: count,
+            vanishing,
+            arcs,
         })
     }
 
@@ -497,7 +523,6 @@ impl Spn {
     fn generate_parallel(&self, opts: &ReachabilityOptions, workers: usize) -> Result<RawGraph> {
         let width = self.num_places();
         let timed = self.timed_indices();
-        let has_imm = self.has_immediate();
         let num_shards = 1usize << opts.shard_bits.min(16);
         let shared = ParShared {
             shards: (0..num_shards)
@@ -541,7 +566,7 @@ impl Spn {
                     sc.spawn(move || {
                         let _trace = obs::set_trace_id(trace);
                         let mut out = WorkerOut::default();
-                        self.worker_loop(shared, opts, timed, has_imm, me, &mut out);
+                        self.worker_loop(shared, opts, timed, me, &mut out);
                         out
                     })
                 })
@@ -668,7 +693,6 @@ impl Spn {
         shared: &ParShared,
         opts: &ReachabilityOptions,
         timed: &[usize],
-        has_imm: bool,
         me: usize,
         out: &mut WorkerOut,
     ) {
@@ -721,41 +745,24 @@ impl Spn {
             }
             newly.clear();
             let mut list: Vec<(u64, f64)> = Vec::new();
-            let result = (|| -> Result<()> {
-                for &t in timed {
-                    if !self.enabled(t, &cur) {
-                        continue;
+            let result = self.expand(
+                &cur,
+                timed,
+                opts,
+                &mut fired,
+                &mut out.vanishing_eliminated,
+                |target, rate| {
+                    let (dst, is_new) = shared.intern(target, opts)?;
+                    if is_new {
+                        shared.pending.fetch_add(1, Ordering::Release);
+                        newly.push(dst);
                     }
-                    let rate = self.rate_of(t, &cur)?;
-                    self.fire_into(t, &cur, &mut fired);
-                    if has_imm && self.any_immediate_enabled(&fired) {
-                        for (target, p) in self.resolve_vanishing(
-                            fired.clone(),
-                            opts,
-                            &mut out.vanishing_eliminated,
-                        )? {
-                            let (dst, is_new) = shared.intern(&target, opts)?;
-                            if is_new {
-                                shared.pending.fetch_add(1, Ordering::Release);
-                                newly.push(dst);
-                            }
-                            if dst != prov {
-                                list.push((dst, rate * p));
-                            }
-                        }
-                    } else {
-                        let (dst, is_new) = shared.intern(&fired, opts)?;
-                        if is_new {
-                            shared.pending.fetch_add(1, Ordering::Release);
-                            newly.push(dst);
-                        }
-                        if dst != prov {
-                            list.push((dst, rate));
-                        }
+                    if dst != prov {
+                        list.push((dst, rate));
                     }
-                }
-                Ok(())
-            })();
+                    Ok(())
+                },
+            );
             match result {
                 Ok(()) => {
                     out.arcs.push((prov, list));
@@ -774,6 +781,40 @@ impl Spn {
                 }
             }
         }
+    }
+
+    /// Expands the tangible marking `cur`: fires its enabled transitions
+    /// among `timed`, in declaration order, pushes each successor
+    /// through the immediate transitions, and hands every tangible
+    /// successor marking with its rate to `emit` — in the canonical
+    /// emission order all three generators (sequential BFS, parallel
+    /// workers, row regeneration) share.
+    pub(crate) fn expand(
+        &self,
+        cur: &Marking,
+        timed: &[usize],
+        opts: &ReachabilityOptions,
+        fired: &mut Marking,
+        vanishing: &mut u64,
+        mut emit: impl FnMut(&[u32], f64) -> Result<()>,
+    ) -> Result<()> {
+        let has_imm = self.has_immediate();
+        for &t in timed {
+            if !self.enabled(t, cur) {
+                continue;
+            }
+            let rate = self.rate_of(t, cur)?;
+            debug_assert!(rate > 0.0);
+            self.fire_into(t, cur, fired);
+            if has_imm && self.any_immediate_enabled(fired) {
+                for (target, p) in self.resolve_vanishing(fired.clone(), opts, vanishing)? {
+                    emit(&target, rate * p)?;
+                }
+            } else {
+                emit(fired, rate)?;
+            }
+        }
+        Ok(())
     }
 
     /// Pushes a (possibly vanishing) marking through immediate

@@ -1,7 +1,7 @@
 //! The tangible marking space without its arcs: the out-of-core
 //! backbone of the streaming solver tier.
 //!
-//! [`Spn::tangible_space`] runs the same sequential canonical BFS as
+//! [`Spn::tangible_space`] runs the very sequential canonical BFS of
 //! the materializing generator (`Spn::solve_with`) but stores **only**
 //! the packed marking arena and its intern table — no arc triplets, no
 //! `Marking` clones, no CTMC. Rows of the generator are regenerated on
@@ -15,7 +15,7 @@
 //! solvers differential-testable against the CSR path.
 
 use crate::model::Spn;
-use crate::reach::{cap_error, hash_marking, InternTable, ReachabilityOptions};
+use crate::reach::{hash_marking, InternTable, ReachabilityOptions};
 use crate::Marking;
 use crate::{PlaceId, TransitionId};
 use reliab_core::{Error, Result};
@@ -68,7 +68,6 @@ pub struct TangibleSpace<'a> {
     spn: &'a Spn,
     table: InternTable,
     timed: Vec<usize>,
-    has_imm: bool,
     initial_pairs: Vec<(u32, f64)>,
     opts: ReachabilityOptions,
     stats: SpaceStats,
@@ -98,83 +97,14 @@ impl Spn {
     pub fn tangible_space(&self, opts: &ReachabilityOptions) -> Result<TangibleSpace<'_>> {
         let _span = obs::span("spn.space");
         let start = Instant::now();
-        let width = self.num_places();
-        let timed = self.timed_indices();
-        let has_imm = self.has_immediate();
-        let mut table = InternTable::new(width);
-        let mut arcs = 0usize;
-        let mut vanishing = 0u64;
-
-        let intern = |table: &mut InternTable, m: &[u32]| -> Result<u32> {
-            let (id, is_new) = table.intern(m, hash_marking(m));
-            if is_new && table.count > opts.max_markings {
-                return Err(cap_error(opts));
-            }
-            Ok(id)
-        };
-
-        let mut initial_pairs: Vec<(u32, f64)> = Vec::new();
-        for (m, p) in self.resolve_vanishing(self.initial.clone(), opts, &mut vanishing)? {
-            let i = intern(&mut table, &m)?;
-            initial_pairs.push((i, p));
-        }
-
-        // The arena walk IS the BFS, exactly as in the materializing
-        // generator; the only difference is that arcs are counted, not
+        // The materializing generator's BFS, with arcs counted, not
         // collected.
-        let mut cur: Marking = Vec::with_capacity(width);
-        let mut fired: Marking = Vec::with_capacity(width);
-        let mut i = 0usize;
-        let mut level = 0u64;
-        let mut level_end = table.count;
-        while i < table.count {
-            if i == level_end {
-                if obs::trace_enabled() {
-                    obs::event(
-                        "spn.reach.level",
-                        &[
-                            ("level", level.into()),
-                            ("frontier", (table.count - level_end).into()),
-                            ("states", table.count.into()),
-                            ("arcs", arcs.into()),
-                        ],
-                    );
-                }
-                level += 1;
-                level_end = table.count;
-            }
-            cur.clear();
-            cur.extend_from_slice(table.get(i as u32));
-            for &t in &timed {
-                if !self.enabled(t, &cur) {
-                    continue;
-                }
-                let rate = self.rate_of(t, &cur)?;
-                debug_assert!(rate > 0.0);
-                self.fire_into(t, &cur, &mut fired);
-                if has_imm && self.any_immediate_enabled(&fired) {
-                    for (target, _p) in
-                        self.resolve_vanishing(fired.clone(), opts, &mut vanishing)?
-                    {
-                        let j = intern(&mut table, &target)?;
-                        if j as usize != i {
-                            arcs += 1;
-                        }
-                    }
-                } else {
-                    let j = intern(&mut table, &fired)?;
-                    if j as usize != i {
-                        arcs += 1;
-                    }
-                }
-            }
-            i += 1;
-        }
-
+        let bfs = self.bfs_sequential(opts, |_, _, _| {})?;
+        let table = bfs.table;
         let stats = SpaceStats {
             markings: table.count,
-            arcs,
-            vanishing_eliminated: vanishing,
+            arcs: bfs.arcs,
+            vanishing_eliminated: bfs.vanishing,
             generation_ns: start.elapsed().as_nanos(),
         };
         obs::counter_add("spn.space.markings", stats.markings as u64);
@@ -189,9 +119,8 @@ impl Spn {
         Ok(TangibleSpace {
             spn: self,
             table,
-            timed,
-            has_imm,
-            initial_pairs,
+            timed: self.timed_indices(),
+            initial_pairs: bfs.initial_pairs,
             opts: *opts,
             stats,
         })
@@ -253,30 +182,21 @@ impl TangibleSpace<'_> {
         row.arcs.clear();
         row.cur.clear();
         row.cur.extend_from_slice(self.table.get(id));
-        for &t in &self.timed {
-            if !self.spn.enabled(t, &row.cur) {
-                continue;
-            }
-            let rate = self.spn.rate_of(t, &row.cur)?;
-            self.spn.fire_into(t, &row.cur, &mut row.fired);
-            if self.has_imm && self.spn.any_immediate_enabled(&row.fired) {
-                for (target, p) in
-                    self.spn
-                        .resolve_vanishing(row.fired.clone(), &self.opts, &mut row.vanishing)?
-                {
-                    let j = self.find(&target)?;
-                    if j != id {
-                        row.arcs.push((j, rate * p));
-                    }
-                }
-            } else {
-                let j = self.find(&row.fired)?;
+        let arcs = &mut row.arcs;
+        self.spn.expand(
+            &row.cur,
+            &self.timed,
+            &self.opts,
+            &mut row.fired,
+            &mut row.vanishing,
+            |target, rate| {
+                let j = self.find(target)?;
                 if j != id {
-                    row.arcs.push((j, rate));
+                    arcs.push((j, rate));
                 }
-            }
-        }
-        Ok(())
+                Ok(())
+            },
+        )
     }
 
     fn find(&self, m: &[u32]) -> Result<u32> {

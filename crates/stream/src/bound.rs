@@ -14,8 +14,7 @@
 //! estimate, not a certificate — it is reported as [`Bounds`] so
 //! downstream consumers carry the gap instead of a false point value.
 
-use crate::num_err;
-use crate::source::RowSource;
+use crate::RowSource;
 use reliab_bounds::Bounds;
 use reliab_core::{Error, Result};
 use reliab_numeric::{gth_steady_state, DenseMatrix};
@@ -94,7 +93,7 @@ pub fn bounded_steady_reward(
     let pi_macro = if m == 1 {
         vec![1.0]
     } else {
-        gth_steady_state(&qhat).map_err(num_err)?
+        gth_steady_state(&qhat).map_err(|e| Error::numerical(e.to_string()))?
     };
 
     // Reward extremes per group: one pass over the states, no rows.
@@ -139,7 +138,7 @@ pub fn bounded_steady_reward(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::CsrRowSource;
+    use crate::CsrRowSource;
     use crate::{steady_state, StreamOptions};
     use reliab_markov::{Ctmc, CtmcBuilder};
 

@@ -9,21 +9,22 @@
 //!
 //! * [`RowSource`] — the one-method contract the whole tier is built
 //!   on: produce the off-diagonal generator row of one state on demand.
-//!   [`ArenaRowSource`] regenerates rows directly from the packed SPN
-//!   marking arena ([`reliab_spn::TangibleSpace`]), firing enabled
-//!   transitions per marking and eliminating vanishing states on the
-//!   fly; [`CsrRowSource`] adapts an already-materialized
-//!   [`reliab_markov::Ctmc`], so every streaming solver is
+//!   It lives in [`reliab_markov::kernel`] together with the iterations
+//!   this tier runs, and is re-exported here. [`ArenaRowSource`]
+//!   regenerates rows directly from the packed SPN marking arena
+//!   ([`reliab_spn::TangibleSpace`]), firing enabled transitions per
+//!   marking and eliminating vanishing states on the fly;
+//!   [`CsrRowSource`] adapts an already-materialized
+//!   [`reliab_markov::Ctmc`], so every streaming solve is
 //!   differential-testable against the exact in-core path.
-//! * [`transient`] — on-the-fly uniformization (Jensen's method with
-//!   Poisson tail control and steady-state detection): a two-vector
-//!   recurrence that never stores a matrix.
-//! * [`steady_state`] — block-partitioned Gauss–Seidel/SOR and power
-//!   iteration. Column slices of the generator are built per block and
-//!   either cached or recomputed each sweep under a caller-supplied
-//!   memory budget ([`StreamOptions::mem_budget`]); the sweep follows
-//!   the global state order, so results are **bitwise identical** at
-//!   any block count and any admitting budget.
+//! * [`plan_steady`] / [`plan_transient`] — the memory planner: how
+//!   many column blocks the kernel's column store is split into and
+//!   how many stay cached under a caller-supplied byte budget
+//!   ([`StreamOptions::mem_budget`]); the rest are rebuilt from the row
+//!   source whenever the iteration reaches them. Results are **bitwise
+//!   identical** at any block count and any admitting budget.
+//! * [`steady_state`] / [`transient`] — the kernel's SOR, power
+//!   iteration and uniformization over the planned store.
 //! * [`bounded_steady_reward`] — aggregation-based bounding when the
 //!   budget cannot even hold the iteration vectors: a small macro-state
 //!   chain brackets a steady-state reward between
@@ -52,7 +53,6 @@
 #![deny(unsafe_code)]
 
 mod bound;
-mod columns;
 mod plan;
 mod source;
 mod steady;
@@ -60,26 +60,9 @@ mod transient;
 
 pub use bound::{bounded_steady_reward, macro_states_for_budget, BoundedSteadyReport};
 pub use plan::{plan_steady, plan_transient, MemoryPlan, PlanOutcome, StreamMethod, StreamOptions};
-pub use source::{scan_rates, ArenaRowSource, CsrRowSource, RateScan, RowSource};
+pub use reliab_markov::kernel::{CsrRowSource, RateScan, RowSource};
+pub use source::{scan_rates, ArenaRowSource};
 pub use steady::{
     steady_state, steady_state_observed, steady_state_with_pass_threads, SteadyStreamReport,
 };
 pub use transient::{transient, StreamTransientReport};
-
-use reliab_core::Error;
-
-/// Converts numeric-layer failures into the workspace error type.
-pub(crate) fn num_err(e: reliab_numeric::NumericError) -> Error {
-    match e {
-        reliab_numeric::NumericError::NoConvergence {
-            what,
-            iterations,
-            residual,
-        } => Error::Convergence {
-            what,
-            iterations,
-            residual,
-        },
-        other => Error::numerical(other.to_string()),
-    }
-}

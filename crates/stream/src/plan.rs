@@ -8,8 +8,11 @@
 //! says, so results are bitwise identical at any block count and any
 //! admitting budget.
 
-use crate::columns::{COLUMN_BYTES, ENTRY_BYTES};
 use reliab_core::{Error, Result};
+use reliab_markov::kernel::{
+    ColumnStore, IterativeOptions, RateScan, RowScan, RowSource, COLUMN_BYTES, ENTRY_BYTES,
+};
+use reliab_markov::TransientOptions;
 
 /// Iterative method used by [`crate::steady_state`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -66,41 +69,29 @@ impl Default for StreamOptions {
 }
 
 impl StreamOptions {
+    /// The steady-state iteration options.
+    pub(crate) fn iterative(&self) -> IterativeOptions {
+        IterativeOptions {
+            tolerance: self.tolerance,
+            max_iterations: self.max_iterations,
+            relaxation: self.relaxation,
+        }
+    }
+
+    /// The uniformization options.
+    pub(crate) fn transient(&self) -> TransientOptions {
+        TransientOptions {
+            epsilon: self.epsilon,
+            steady_state_detection: self.steady_state_detection,
+        }
+    }
+
     pub(crate) fn validate(&self) -> Result<()> {
-        if !(self.tolerance > 0.0 && self.tolerance.is_finite()) {
-            return Err(Error::invalid(format!(
-                "tolerance must be positive, got {}",
-                self.tolerance
-            )));
+        self.iterative().validate()?;
+        if self.blocks == Some(0) {
+            return Err(Error::invalid("block count must be > 0"));
         }
-        if self.max_iterations == 0 {
-            return Err(Error::invalid("max_iterations must be > 0"));
-        }
-        if !(self.relaxation > 0.0 && self.relaxation < 2.0) {
-            return Err(Error::invalid(format!(
-                "SOR relaxation must lie in (0, 2), got {}",
-                self.relaxation
-            )));
-        }
-        if let Some(b) = self.blocks {
-            if b == 0 {
-                return Err(Error::invalid("block count must be > 0"));
-            }
-        }
-        if !(self.epsilon > 0.0 && self.epsilon < 1.0) {
-            return Err(Error::invalid(format!(
-                "epsilon must lie in (0,1), got {}",
-                self.epsilon
-            )));
-        }
-        if let Some(d) = self.steady_state_detection {
-            if d.is_nan() || d <= 0.0 {
-                return Err(Error::invalid(format!(
-                    "steady-state detection threshold must be positive, got {d}"
-                )));
-            }
-        }
-        Ok(())
+        self.transient().validate()
     }
 }
 
@@ -116,12 +107,12 @@ pub struct MemoryPlan {
     pub states: usize,
     /// Off-diagonal arcs (parallel arcs counted separately).
     pub arcs: u64,
-    /// Column blocks in the steady-state sweep (1 for transient).
+    /// Column blocks the iteration walks: equal index ranges of
+    /// `ceil(states / blocks)` columns, the last possibly short.
     pub blocks: usize,
-    /// Blocks whose column slice stays cached across sweeps; the
+    /// Leading blocks whose columns stay cached across iterations; the
     /// remaining `blocks - cached_blocks` are recomputed from the row
-    /// source every sweep. Filled in by the solver once actual slice
-    /// sizes are known.
+    /// source on every visit.
     pub cached_blocks: usize,
     /// Bytes resident in the row source itself.
     pub source_bytes: usize,
@@ -142,17 +133,30 @@ impl MemoryPlan {
     /// average block of scratch.
     #[must_use]
     pub fn peak_bytes(&self) -> u64 {
-        let (cached, scratch) = if self.slice_bytes <= self.cache_bytes {
+        let (cached, scratch) = if self.cached_blocks == self.blocks {
             (self.slice_bytes, 0)
         } else {
-            // Mirror of the solver's prefix-caching policy: cache whole
-            // average-sized blocks, keeping one block of headroom as
-            // recompute scratch.
-            let per_block = (self.slice_bytes / self.blocks.max(1) as u64).max(1);
-            let fit = self.cache_bytes.saturating_sub(per_block) / per_block;
-            (per_block * fit.min(self.blocks as u64), per_block)
+            let per_block = self.per_block_bytes();
+            (per_block * self.cached_blocks as u64, per_block)
         };
         self.source_bytes as u64 + self.vector_bytes as u64 + cached + scratch
+    }
+
+    fn per_block_bytes(&self) -> u64 {
+        (self.slice_bytes / self.blocks.max(1) as u64).max(1)
+    }
+
+    /// How many leading blocks stay cached: all of them when the whole
+    /// column store fits, else as many average-sized blocks as the cache
+    /// pool holds with one block's worth of headroom kept as rebuild
+    /// scratch.
+    fn cached_prefix(&self) -> usize {
+        if self.slice_bytes <= self.cache_bytes {
+            return self.blocks;
+        }
+        let per_block = self.per_block_bytes();
+        let fit = self.cache_bytes.saturating_sub(per_block) / per_block;
+        usize::try_from(fit).unwrap_or(self.blocks).min(self.blocks)
     }
 }
 
@@ -176,7 +180,6 @@ fn plan(
     arcs: u64,
     source_bytes: usize,
     vector_bytes: usize,
-    blockable: bool,
     opts: &StreamOptions,
 ) -> PlanOutcome {
     let slice_bytes = arcs * ENTRY_BYTES + states as u64 * COLUMN_BYTES;
@@ -193,9 +196,7 @@ fn plan(
             (b - required) as u64
         }
     };
-    let blocks = if !blockable {
-        1
-    } else if let Some(b) = opts.blocks {
+    let blocks = if let Some(b) = opts.blocks {
         b.min(states.max(1))
     } else if slice_bytes <= cache_bytes {
         1
@@ -208,7 +209,10 @@ fn plan(
             .unwrap_or(MAX_AUTO_BLOCKS)
             .clamp(2, MAX_AUTO_BLOCKS.min(states.max(2)))
     };
-    PlanOutcome::Exact(MemoryPlan {
+    // Blocks are equal index ranges; derive the effective count from
+    // their width so the plan matches what the iteration walks.
+    let blocks = states.div_ceil(states.div_ceil(blocks).max(1)).max(1);
+    let mut plan = MemoryPlan {
         states,
         arcs,
         blocks,
@@ -218,7 +222,9 @@ fn plan(
         slice_bytes,
         cache_bytes,
         budget: opts.mem_budget,
-    })
+    };
+    plan.cached_blocks = plan.cached_prefix();
+    PlanOutcome::Exact(plan)
 }
 
 /// Plans a steady-state solve: iteration vectors are `π` + exit rates
@@ -234,12 +240,12 @@ pub fn plan_steady(
         StreamMethod::Power => 3 * 8 * states,
         StreamMethod::Auto | StreamMethod::Sor => 2 * 8 * states,
     };
-    plan(states, arcs, source_bytes, vectors, true, opts)
+    plan(states, arcs, source_bytes, vectors, opts)
 }
 
 /// Plans a transient solve: the two-vector uniformization recurrence
-/// plus the accumulator and exit rates (`4n` doubles); rows are always
-/// streamed, never cached, so there is no block decision to make.
+/// plus the accumulator and exit rates (`4n` doubles), with the column
+/// store blocked and cached exactly as for a steady-state solve.
 #[must_use]
 pub fn plan_transient(
     states: usize,
@@ -247,7 +253,40 @@ pub fn plan_transient(
     source_bytes: usize,
     opts: &StreamOptions,
 ) -> PlanOutcome {
-    plan(states, arcs, source_bytes, 4 * 8 * states, false, opts)
+    plan(states, arcs, source_bytes, 4 * 8 * states, opts)
+}
+
+/// Lays out the kernel's column store over `src` for one solve: the
+/// validating scan pass on `threads` row ranges, the memory plan `plan`
+/// derives from its arc count, and the fill pass of the cached blocks.
+///
+/// # Errors
+///
+/// [`Error::InvalidParameter`] when the budget cannot hold the row
+/// source plus the iteration vectors; scan and fill errors propagate.
+pub(crate) fn planned_store(
+    src: &mut dyn RowSource,
+    opts: &StreamOptions,
+    threads: usize,
+    plan: fn(usize, u64, usize, &StreamOptions) -> PlanOutcome,
+) -> Result<(RateScan, ColumnStore, MemoryPlan)> {
+    let scan = RowScan::run(src, threads)?;
+    match plan(
+        src.num_states(),
+        scan.rates.arcs,
+        src.resident_bytes(),
+        opts,
+    ) {
+        PlanOutcome::Exact(plan) => {
+            let (rates, store) = scan.into_store(src, plan.blocks, plan.cached_blocks)?;
+            Ok((rates, store, plan))
+        }
+        PlanOutcome::NeedsBounds { required, budget } => Err(Error::invalid(format!(
+            "memory budget of {budget} bytes cannot hold the exact iteration state \
+             ({required} bytes of row source + vectors); raise the budget, or bound a \
+             steady-state reward by aggregation"
+        ))),
+    }
 }
 
 #[cfg(test)]

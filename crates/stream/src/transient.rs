@@ -1,18 +1,12 @@
-//! Streaming transient solution by on-the-fly uniformization.
-//!
-//! Jensen's method with Poisson tail control, exactly as the in-core
-//! solver — but the uniformized matrix–vector product is evaluated by
-//! scattering each regenerated row into the next iterate, so nothing
-//! beyond the two recurrence vectors and the accumulator is ever
-//! stored. The recurrence, truncation, steady-state detection, and
-//! final clamp/renormalize mirror `Ctmc::transient_report`, keeping the
-//! streaming path differential-testable to tight tolerances.
+//! Budgeted transient solution over a [`RowSource`]: the memory
+//! planner lays out the kernel's column store and the kernel's
+//! uniformization (Jensen's method with Poisson tail control and
+//! steady-state detection) runs over it — the same recurrence as
+//! `Ctmc::transient_report`, bit for bit on the same arc stream.
 
-use crate::num_err;
-use crate::plan::{plan_transient, MemoryPlan, PlanOutcome, StreamOptions};
-use crate::source::{scan_rates, RowSource};
-use reliab_core::{Error, Result};
-use reliab_numeric::poisson_weights;
+use crate::plan::{plan_transient, planned_store, MemoryPlan, StreamOptions};
+use reliab_core::Result;
+use reliab_markov::kernel::{self, pass_threads, RowSource};
 use reliab_obs as obs;
 
 /// A transient distribution plus streaming-uniformization telemetry.
@@ -21,8 +15,7 @@ use reliab_obs as obs;
 pub struct StreamTransientReport {
     /// The state-probability vector at the requested time.
     pub distribution: Vec<f64>,
-    /// Streaming matrix–vector products performed (each one full pass
-    /// over the row source).
+    /// Uniformized matrix–vector products performed.
     pub matvecs: usize,
     /// Number of significant Poisson terms in the truncated sum.
     pub poisson_terms: usize,
@@ -34,7 +27,7 @@ pub struct StreamTransientReport {
 }
 
 /// State-probability vector at time `t`, starting from `initial`, by
-/// on-the-fly uniformization over a row source.
+/// uniformization over a row source.
 ///
 /// # Errors
 ///
@@ -51,178 +44,37 @@ pub fn transient(
     let _span = obs::span("stream.transient");
     opts.validate()?;
     let n = src.num_states();
-    check_distribution(initial, n)?;
-    if t.is_nan() || t < 0.0 || !t.is_finite() {
-        return Err(Error::invalid(format!(
-            "time must be finite and >= 0, got {t}"
-        )));
+    kernel::check_distribution(initial, n)?;
+    let (rates, store, plan) = planned_store(src, opts, pass_threads(n), plan_transient)?;
+    let store = || Ok(&store);
+    let report = kernel::transient(store, src, &rates.exit, initial, t, &opts.transient())?;
+    if report.poisson_terms > 0 {
+        obs::event(
+            "stream.transient.point",
+            &[
+                ("t", t.into()),
+                ("matvecs", report.matvecs.into()),
+                ("poisson_terms", report.poisson_terms.into()),
+            ],
+        );
+        obs::counter_add("stream.transient.points", 1);
+        obs::counter_add("stream.transient.matvecs", report.matvecs as u64);
     }
-    let scan = scan_rates(src)?;
-    let plan = match plan_transient(n, scan.arcs, src.resident_bytes(), opts) {
-        PlanOutcome::Exact(p) => p,
-        PlanOutcome::NeedsBounds { required, budget } => {
-            return Err(Error::invalid(format!(
-                "memory budget of {budget} bytes cannot hold the transient recurrence \
-                 ({required} bytes of row source + vectors); raise the budget"
-            )))
-        }
-    };
-    let identity = |matvecs: usize| StreamTransientReport {
-        distribution: initial.to_vec(),
-        matvecs,
-        poisson_terms: 0,
-        converged_at: None,
-        plan,
-    };
-    if t == 0.0 {
-        return Ok(identity(0));
-    }
-    let q = scan.q;
-    if q <= 1e-299 {
-        // No transitions at all: distribution never moves.
-        return Ok(identity(0));
-    }
-    let w = poisson_weights(q * t, opts.epsilon).map_err(num_err)?;
-
-    let mut v = initial.to_vec();
-    let mut next = vec![0.0f64; n];
-    let mut out = vec![0.0f64; n];
-    let mut row: Vec<(u32, f64)> = Vec::new();
-    let mut converged_at: Option<usize> = None;
-    let mut matvecs = 0usize;
-
-    // One uniformized step `next = v · P`, P = I + Q/q, scattered row
-    // by row — the streaming counterpart of the CSR `vecmat`.
-    macro_rules! step {
-        () => {{
-            for x in next.iter_mut() {
-                *x = 0.0;
-            }
-            for i in 0..n {
-                let vi = v[i];
-                if vi == 0.0 {
-                    continue;
-                }
-                next[i] += vi * (1.0 - scan.exit[i] / q);
-                src.row(i as u32, &mut row)?;
-                for &(j, r) in &row {
-                    next[j as usize] += vi * (r / q);
-                }
-            }
-            matvecs += 1;
-        }};
-    }
-
-    // Advance to the left truncation point, checking for early
-    // steady-state en route.
-    for _k in 0..w.left {
-        step!();
-        if let Some(thresh) = opts.steady_state_detection {
-            if max_abs_diff(&v, &next) < thresh {
-                std::mem::swap(&mut v, &mut next);
-                converged_at = Some(0);
-                break;
-            }
-        }
-        std::mem::swap(&mut v, &mut next);
-    }
-
-    if converged_at.is_none() {
-        for idx in 0..w.weights.len() {
-            let wk = w.weights[idx];
-            for i in 0..n {
-                out[i] += wk * v[i];
-            }
-            if idx + 1 < w.weights.len() {
-                step!();
-                if let Some(thresh) = opts.steady_state_detection {
-                    if max_abs_diff(&v, &next) < thresh {
-                        std::mem::swap(&mut v, &mut next);
-                        converged_at = Some(idx + 1);
-                        break;
-                    }
-                }
-                std::mem::swap(&mut v, &mut next);
-            }
-        }
-    }
-
-    if let Some(start) = converged_at {
-        // The iterate has converged: the remaining Poisson mass all
-        // multiplies (approximately) the same vector.
-        let consumed: f64 = w.weights[..start].iter().sum();
-        let remaining = 1.0 - consumed;
-        for i in 0..n {
-            out[i] += remaining * v[i];
-        }
-    }
-
-    // Clean round-off: clamp and renormalize.
-    let mut total = 0.0;
-    for o in &mut out {
-        *o = o.max(0.0);
-        total += *o;
-    }
-    if total > 0.0 {
-        for o in &mut out {
-            *o /= total;
-        }
-    }
-    obs::event(
-        "stream.transient.point",
-        &[
-            ("t", t.into()),
-            ("matvecs", matvecs.into()),
-            ("poisson_terms", w.weights.len().into()),
-        ],
-    );
-    obs::counter_add("stream.transient.points", 1);
-    obs::counter_add("stream.transient.matvecs", matvecs as u64);
     Ok(StreamTransientReport {
-        distribution: out,
-        matvecs,
-        poisson_terms: w.weights.len(),
-        converged_at,
+        distribution: report.distribution,
+        matvecs: report.matvecs,
+        poisson_terms: report.poisson_terms,
+        converged_at: report.converged_at,
         plan,
     })
-}
-
-fn check_distribution(p: &[f64], n: usize) -> Result<()> {
-    if p.len() != n {
-        return Err(Error::invalid(format!(
-            "distribution length {} != number of states {n}",
-            p.len()
-        )));
-    }
-    let mut total = 0.0;
-    for (i, &v) in p.iter().enumerate() {
-        if !(0.0..=1.0).contains(&v) || v.is_nan() {
-            return Err(Error::invalid(format!(
-                "distribution entry {i} = {v} must lie in [0, 1]"
-            )));
-        }
-        total += v;
-    }
-    if (total - 1.0).abs() > 1e-9 {
-        return Err(Error::invalid(format!(
-            "distribution sums to {total}, expected 1"
-        )));
-    }
-    Ok(())
-}
-
-fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f64::max)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::CsrRowSource;
+    use reliab_markov::kernel::CsrRowSource;
     use reliab_markov::{Ctmc, CtmcBuilder, TransientOptions};
+    use reliab_numeric::expm;
 
     fn two_state(lambda: f64, mu: f64) -> Ctmc {
         let mut b = CtmcBuilder::new();
@@ -234,13 +86,24 @@ mod tests {
     }
 
     #[test]
-    fn matches_in_core_uniformization() {
+    fn matches_the_matrix_exponential() {
         let c = two_state(0.4, 1.7);
         let p0 = c.point_mass(c.find_state("up").unwrap());
         let mut src = CsrRowSource::new(&c);
+        // Tail mass well below the comparison tolerance.
+        let opts = StreamOptions {
+            epsilon: 1e-15,
+            ..Default::default()
+        };
         for &t in &[0.0, 0.1, 0.5, 1.0, 5.0, 50.0] {
-            let streamed = transient(&mut src, &p0, t, &StreamOptions::default()).unwrap();
-            let exact = c.transient(&p0, t).unwrap();
+            let streamed = transient(&mut src, &p0, t, &opts).unwrap();
+            let mut qt = c.generator_dense();
+            for i in 0..2 {
+                for j in 0..2 {
+                    qt.set(i, j, qt.get(i, j) * t);
+                }
+            }
+            let exact = expm(&qt).unwrap().vecmat(&p0).unwrap();
             for (i, (s, e)) in streamed.distribution.iter().zip(&exact).enumerate() {
                 assert!((s - e).abs() < 1e-12, "t = {t}, state {i}");
             }
